@@ -16,14 +16,13 @@ from .params import (ModelParams, ParamError, ScenarioConfig,
                      bundled_scenario_names, dump_scenario, is_full_null,
                      is_outcome_null, load_bundled, load_scenario,
                      sufficient_condition_holds, validate)
-from .datagen import (ObservedData, ObservedRecord, SubjectData,
-                      SubjectRecord, generate, generate_block, observe,
-                      write_observed_csv, write_subjects_csv)
+from .datagen import (ObservedData, SubjectData, generate, generate_block,
+                      observe, write_observed_csv, write_subjects_csv)
 from .strata import (EffectEstimate, EmptyStratumError, S_BOTH, S_CONTROL,
-                     S_TREATED, StratumLabel, bias_decomposition, classify,
-                     members, oracle_effect, tower_check, write_effects_csv)
+                     S_TREATED, StratumLabel, bias_decomposition, members,
+                     oracle_effect, tower_check, write_effects_csv)
 from .quadrature import (QuadratureError, QuadratureSpec, RefinementError,
-                         mc_check, null_stratum_effect)
+                         null_stratum_effect)
 from .calibration import (ESTIMATORS, CalibrationError, EstimatorError,
                           FitError, LogisticFit, OutcomeFit, SeparationError,
                           SplitCalibration, estimate_naive, estimate_plugin,
@@ -38,15 +37,14 @@ __all__ = [
     "dump_scenario", "is_full_null", "is_outcome_null", "load_bundled",
     "load_scenario", "sufficient_condition_holds", "validate",
     # datagen
-    "ObservedData", "ObservedRecord", "SubjectData", "SubjectRecord",
-    "generate", "generate_block", "observe", "write_observed_csv",
-    "write_subjects_csv",
+    "ObservedData", "SubjectData", "generate", "generate_block", "observe",
+    "write_observed_csv", "write_subjects_csv",
     # strata
     "EffectEstimate", "EmptyStratumError", "S_BOTH", "S_CONTROL",
-    "S_TREATED", "StratumLabel", "bias_decomposition", "classify",
-    "members", "oracle_effect", "tower_check", "write_effects_csv",
+    "S_TREATED", "StratumLabel", "bias_decomposition", "members",
+    "oracle_effect", "tower_check", "write_effects_csv",
     # quadrature
-    "QuadratureError", "QuadratureSpec", "RefinementError", "mc_check",
+    "QuadratureError", "QuadratureSpec", "RefinementError",
     "null_stratum_effect",
     # calibration
     "ESTIMATORS", "CalibrationError", "EstimatorError", "FitError",

@@ -11,8 +11,7 @@ data only (one arm per subject):
   fitted control-arm outcome model over all subjects.  The adherence
   weight pi(x) marginalizes the fitted sequential-logistic visit model
   over simulated intermediate paths, staying consistent with the
-  generative factorization; a one-shot logistic of final adherence on x
-  (knowingly misspecified) is available as a fallback.
+  generative factorization.
 
 ``split_calibrate`` implements the null-calibration idea: repeatedly
 split the control arm at random into two pseudo-arms, run an estimator
@@ -23,6 +22,10 @@ reads only control-arm data, so anything that changes adherence under
 the experimental arm without touching the outcome pathway (gamma2 != 0)
 is invisible to it - that regime is where the calibrated reference
 stops matching the true stratum effect.
+
+The split rounds and the plug-in estimator's bootstrap resamples run
+through one replicate loop: per-replicate RNG streams, skipped failures,
+and a single 10% failure limit.
 
 The control-arm outcome model in the plug-in estimator wants outcomes
 recorded regardless of adherence; when outcomes are censored at dropout
@@ -49,6 +52,8 @@ _GRAD_TOL = 1e-8
 _LL_SLACK = 1e-8
 _COEF_CAP = 30.0
 _MIN_AT_RISK = 10
+_M_PATHS = 200   # simulated intermediate paths per x-grid point
+_N_GRID = 512    # x-grid points for the marginal adherence weight
 
 
 class FitError(RuntimeError):
@@ -88,20 +93,8 @@ class LogisticFit:
     visits: tuple[VisitFit, ...]
 
     @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([v.coef for v in self.visits])
-
-    @property
     def converged(self) -> bool:
         return all(v.converged for v in self.visits)
-
-    @property
-    def iterations(self) -> int:
-        return max(v.iterations for v in self.visits)
-
-    @property
-    def loglik(self) -> float:
-        return math.fsum(v.loglik for v in self.visits)
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,6 @@ class OutcomeFit:
 
     intercept: float
     slope_x: float
-    residual_sd: float
     n: int
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -230,10 +222,7 @@ def fit_outcome_baseline(observed: ObservedData, arm: int = 0) -> OutcomeFit:
         raise FitError(f"arm {arm}: only {m} subjects with observed outcome")
     X = np.column_stack([np.ones(m), observed.x[rows]])
     coef, _, _, _ = np.linalg.lstsq(X, observed.y[rows], rcond=None)
-    resid = observed.y[rows] - X @ coef
-    sd = math.sqrt(float(resid @ resid) / (m - 2)) if m > 2 else 0.0
-    return OutcomeFit(intercept=float(coef[0]), slope_x=float(coef[1]),
-                      residual_sd=sd, n=m)
+    return OutcomeFit(intercept=float(coef[0]), slope_x=float(coef[1]), n=m)
 
 
 def _fit_visit_linear(observed: ObservedData, arm: int):
@@ -257,43 +246,29 @@ def _fit_visit_linear(observed: ObservedData, arm: int):
 
 
 def _marginal_pi(x_eval: np.ndarray, fit: LogisticFit, z_models,
-                 m_paths: int, rng: np.random.Generator,
-                 n_grid: int) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """Marginal adherence probability under arm 1, as a function of x.
 
     The sequential model is conditional on each visit's intermediate, so
     the marginal over intermediates is not logistic; it is computed by
-    simulating m_paths intermediate paths from the fitted visit-level
+    simulating _M_PATHS intermediate paths from the fitted visit-level
     linear models and averaging the product of visit probabilities.  The
     average is evaluated on an x-grid spanning the data and interpolated
     to the subjects; the function is smooth in x, so grid error is
     negligible next to the path-simulation noise.
     """
     lo, hi = float(x_eval.min()), float(x_eval.max())
-    grid = np.linspace(lo, hi, n_grid) if hi > lo else np.array([lo])
-    acc = np.ones((grid.size, m_paths))
+    grid = np.linspace(lo, hi, _N_GRID) if hi > lo else np.array([lo])
+    acc = np.ones((grid.size, _M_PATHS))
     for vf, (az, bz, sz) in zip(fit.visits, z_models):
         zsim = az + bz * grid[:, None] \
-            + sz * rng.standard_normal((grid.size, m_paths))
+            + sz * rng.standard_normal((grid.size, _M_PATHS))
         g0, g1, g3 = vf.coef
         acc *= expit(g0 + g1 * grid[:, None] + g3 * zsim)
     return np.interp(x_eval, grid, acc.mean(axis=1))
 
 
-def _one_shot_pi(observed: ObservedData) -> np.ndarray:
-    """Fallback: misspecified one-shot logistic of final adherence on x."""
-    rows = observed.t == 1
-    m = int(rows.sum())
-    if m < _MIN_AT_RISK:
-        raise FitError(f"arm 1: only {m} subjects")
-    X = np.column_stack([np.ones(m), observed.x[rows]])
-    beta, _, _, _, _ = _irls(X, (observed.a[rows] == 1).astype(float),
-                             "one-shot adherence model")
-    return expit(beta[0] + beta[1] * observed.x)
-
-
-def _plugin_point(observed: ObservedData, rng: np.random.Generator,
-                  m_paths: int, adherence_model: str, n_grid: int) -> float:
+def _plugin_point(observed: ObservedData, rng: np.random.Generator) -> float:
     arm1_adherers = (observed.t == 1) & (observed.a == 1) \
         & ~np.isnan(observed.y)
     if not arm1_adherers.any():
@@ -301,19 +276,45 @@ def _plugin_point(observed: ObservedData, rng: np.random.Generator,
     term1 = exact_mean(observed.y[arm1_adherers])
 
     m0 = fit_outcome_baseline(observed, arm=0)
-    if adherence_model == "simulate":
-        fit = fit_sequential_logistic(observed, arm=1)
-        z_models = _fit_visit_linear(observed, arm=1)
-        pi = _marginal_pi(observed.x, fit, z_models, m_paths, rng, n_grid)
-    elif adherence_model == "logistic":
-        pi = _one_shot_pi(observed)
-    else:
-        raise ValueError(f"unknown adherence_model {adherence_model!r}")
+    fit = fit_sequential_logistic(observed, arm=1)
+    z_models = _fit_visit_linear(observed, arm=1)
+    pi = _marginal_pi(observed.x, fit, z_models, rng)
     total = float(pi.sum())
     if total <= 0.0:
         raise EstimatorError("estimated adherence probabilities sum to zero")
     term2 = float(pi @ m0.predict(observed.x)) / total
     return term1 - term2
+
+
+def _replicate(one: Callable[[np.random.Generator], float], seed: int,
+               first: int, count: int, threads: int, name: str,
+               error: type[Exception]) -> tuple[np.ndarray, int]:
+    """Run ``one`` on ``count`` replicates; return (values, failed count).
+
+    Replicate i gets the RNG stream [seed, first + i], so its value does
+    not depend on ``threads``, the size of the worker pool.  Replicates
+    raising FitError or EstimatorError are skipped; more than 10% of
+    them failing raises ``error``.  ``name`` is the caller's parameter
+    holding ``count``, for messages.
+    """
+    if count < 2:
+        raise ValueError(f"{name} must be >= 2, got {count}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+    def run(i: int):
+        try:
+            return one(np.random.default_rng([seed, first + i])), None
+        except (FitError, EstimatorError) as exc:
+            return None, f"replicate {i}: {exc}"
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run, range(count)))
+    failures = [msg for _, msg in results if msg is not None]
+    if len(failures) * 10 > count:
+        raise error(f"{len(failures)} of {name}={count} replicates failed "
+                    f"(limit 10%); first: {failures[0]}")
+    return np.asarray([v for v, _ in results if v is not None]), len(failures)
 
 
 def estimate_naive(observed: ObservedData) -> EffectEstimate:
@@ -341,10 +342,8 @@ def estimate_naive(observed: ObservedData) -> EffectEstimate:
 
 
 def estimate_plugin(observed: ObservedData, *, seed: int = 0,
-                    m_paths: int = 200, n_boot: int = 200,
-                    compute_se: bool = True,
-                    adherence_model: str = "simulate",
-                    n_grid: int = 512) -> EffectEstimate:
+                    n_boot: int = 200,
+                    compute_se: bool = True) -> EffectEstimate:
     """Plug-in estimate of the treated-adherent stratum effect.
 
     term1 is the experimental-arm adherer mean.  term2 averages the
@@ -352,30 +351,21 @@ def estimate_plugin(observed: ObservedData, *, seed: int = 0,
     subject's marginal adherence probability under arm 1 - the
     observed-data counterpart of conditioning the control response on
     adherence under the other arm.  The SE is a subject-level bootstrap
-    (n_boot resamples); pass compute_se=False for the point value alone
-    (se is then NaN).  Resamples that fail to fit are skipped, erroring
-    when more than 10% fail.
+    (n_boot >= 2 resamples, run on one thread); pass compute_se=False for
+    the point value alone (se is then NaN).  Resamples that fail to fit
+    are skipped, raising EstimatorError when more than 10% fail.
     """
-    value = _plugin_point(observed, np.random.default_rng([seed, 0]),
-                          m_paths, adherence_model, n_grid)
+    value = _plugin_point(observed, np.random.default_rng([seed, 0]))
     se = float("nan")
     if compute_se:
         n = len(observed)
-        vals = []
-        failures = []
-        for b in range(n_boot):
-            rng = np.random.default_rng([seed, 1 + b])
-            sub = observed.subset(rng.integers(0, n, n))
-            try:
-                vals.append(_plugin_point(sub, rng, m_paths,
-                                          adherence_model, n_grid))
-            except (FitError, EstimatorError) as exc:
-                failures.append(f"resample {b}: {exc}")
-        if len(failures) * 10 > n_boot:
-            raise EstimatorError(
-                f"{len(failures)} of {n_boot} bootstrap resamples failed; "
-                f"first: {failures[0]}")
-        se = float(np.std(np.asarray(vals), ddof=1))
+
+        def resample(rng: np.random.Generator) -> float:
+            return _plugin_point(observed.subset(rng.integers(0, n, n)), rng)
+
+        vals, _ = _replicate(resample, seed, 1, n_boot, 1, "n_boot",
+                             EstimatorError)
+        se = float(np.std(vals, ddof=1))
     return EffectEstimate(value=value, se=se, n_members=len(observed),
                           stratum=S_TREATED)
 
@@ -398,10 +388,11 @@ def split_calibrate(observed_control: ObservedData,
     record order is irrelevant), relabels floor(n/2) of them as a
     pseudo experimental arm (the extra subject on odd counts stays
     control), and runs the estimator on the pseudo-trial.  Offsets are
-    collected over rounds; failed rounds are recorded and skipped, and
-    more than 10% failures is an error.  Every round derives its RNG
-    stream and estimator seed from (seed, round), so results do not
-    depend on scheduling; rounds may run on multiple threads.
+    collected over rounds (R >= 2); failed rounds are recorded and
+    skipped, and more than 10% failures raises CalibrationError.  Every
+    round derives its RNG stream and estimator seed from (seed, round),
+    so results do not depend on scheduling; rounds run on ``threads``
+    (>= 1) worker threads.
     """
     if isinstance(estimator, str):
         try:
@@ -413,8 +404,6 @@ def split_calibrate(observed_control: ObservedData,
         name = estimator
     else:
         fn, name = estimator, getattr(estimator, "__name__", "custom")
-    if R < 2:
-        raise ValueError("R must be >= 2")
     if np.any(observed_control.t != 0):
         raise ValueError("split_calibrate expects control-arm records only")
     n = len(observed_control)
@@ -424,34 +413,19 @@ def split_calibrate(observed_control: ObservedData,
     canon = observed_control.subset(np.argsort(observed_control.ids))
     half = n // 2
 
-    def one(r: int):
-        rng = np.random.default_rng([seed, r])
+    def one(rng: np.random.Generator) -> float:
         t_new = np.zeros(n, dtype=np.int8)
         t_new[rng.permutation(n)[:half]] = 1
         est_seed = int(rng.integers(np.iinfo(np.int64).max))
-        try:
-            return fn(canon.relabeled(t_new), est_seed), None
-        except (FitError, EstimatorError) as exc:
-            return None, f"split {r}: {exc}"
+        return fn(canon.relabeled(t_new), est_seed)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(R)))
-    else:
-        results = [one(r) for r in range(R)]
-
-    offsets = [v for v, _ in results if v is not None]
-    failures = [msg for _, msg in results if msg is not None]
-    if len(failures) * 10 > R:
-        raise CalibrationError(
-            f"{len(failures)} of {R} splits failed (limit 10%); "
-            f"first: {failures[0]}")
-    arr = np.asarray(offsets)
+    arr, n_failed = _replicate(one, seed, 0, R, threads, "R",
+                               CalibrationError)
     return SplitCalibration(
         estimator=name, R=R, offsets=tuple(map(float, arr)),
         mean_offset=exact_mean(arr),
         se_offset=float(np.std(arr, ddof=1)) / math.sqrt(len(arr)),
-        n_failed=len(failures))
+        n_failed=n_failed)
 
 
 def write_calibration_csv(rows: list[tuple[str, SplitCalibration]],

@@ -44,6 +44,13 @@ _MC_AGREEMENT_SIGMAS = 3.5
 _CALIBRATION_SIGMAS = 5.0
 
 
+def _gap_check(a: float, b: float, se: float,
+               sigmas: float) -> tuple[float, float, bool]:
+    """(gap, bound, agree): whether |a - b| <= sigmas * se."""
+    gap, bound = abs(a - b), sigmas * se
+    return gap, bound, gap <= bound
+
+
 def _load_config(args) -> ScenarioConfig:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
@@ -128,9 +135,9 @@ def cmd_true_effect(args) -> int:
                                     stratum=S_TREATED)))
         print(f"S_*+ effect (quadrature): {quad:.4f}")
     if quad is not None and mc is not None:
-        gap = abs(quad - mc.value)
-        bound = _MC_AGREEMENT_SIGMAS * mc.se
-        verdict = "AGREE" if gap <= bound else "DISAGREE"
+        gap, bound, agree = _gap_check(quad, mc.value, mc.se,
+                                       _MC_AGREEMENT_SIGMAS)
+        verdict = "AGREE" if agree else "DISAGREE"
         print(f"agreement: |quadrature - MC| = {gap:.4f} vs "
               f"{_MC_AGREEMENT_SIGMAS}*SE = {bound:.4f} -> {verdict}")
 
@@ -157,9 +164,9 @@ def cmd_calibrate(args) -> int:
           f"({cal.n_failed} failed splits)")
     if is_outcome_null(cfg.params):
         quad = null_stratum_effect(cfg.params)
-        gap = abs(cal.mean_offset - quad)
-        bound = _CALIBRATION_SIGMAS * cal.se_offset
-        verdict = "MATCH" if gap <= bound else "MISMATCH"
+        gap, bound, match = _gap_check(cal.mean_offset, quad, cal.se_offset,
+                                       _CALIBRATION_SIGMAS)
+        verdict = "MATCH" if match else "MISMATCH"
         print(f"true stratum effect (quadrature): {quad:.4f}")
         print(f"verdict: |offset - true| = {gap:.4f} vs "
               f"{_CALIBRATION_SIGMAS}*SE = {bound:.4f} -> {verdict}")
@@ -196,9 +203,9 @@ def _demo_claims(seed_override, threads):
     both = oracle_effect(data, S_BOTH)
     effect_rows += [(cfg.label, S_TREATED.code, treated),
                     (cfg.label, S_BOTH.code, both)]
-    gap = abs(quad - treated.value)
-    ok = (quad > _MC_AGREEMENT_SIGMAS * treated.se
-          and gap <= _MC_AGREEMENT_SIGMAS * treated.se)
+    _, bound, agree = _gap_check(quad, treated.value, treated.se,
+                                 _MC_AGREEMENT_SIGMAS)
+    ok = quad > bound and agree
     claims.append((
         "treated-adherent stratum effect is nonzero under the full null",
         f"quadrature {quad:.4f}, MC {treated.value:.4f} +/- "
@@ -206,7 +213,7 @@ def _demo_claims(seed_override, threads):
     claims.append((
         "always-adherent stratum effect is zero under the full null",
         f"MC {both.value:.4f} +/- {both.se:.4f}",
-        abs(both.value) <= _MC_AGREEMENT_SIGMAS * both.se))
+        _gap_check(both.value, 0.0, both.se, _MC_AGREEMENT_SIGMAS)[2]))
 
     # 3-4: either zero loading wipes the effect out.
     for name, what in (("zero_beta3", "outcome loading beta3 = 0"),
@@ -216,7 +223,7 @@ def _demo_claims(seed_override, threads):
         est = oracle_effect(generate(cfg), S_TREATED)
         effect_rows.append((cfg.label, S_TREATED.code, est))
         ok = (abs(quad) <= 1e-12
-              and abs(est.value) <= _MC_AGREEMENT_SIGMAS * est.se)
+              and _gap_check(est.value, 0.0, est.se, _MC_AGREEMENT_SIGMAS)[2])
         claims.append((
             f"stratum effect vanishes when {what}",
             f"quadrature {quad:.2e}, MC {est.value:.4f} +/- {est.se:.4f}",
@@ -229,12 +236,12 @@ def _demo_claims(seed_override, threads):
     cal = split_calibrate(obs.subset(obs.t == 0), estimator="plugin",
                           R=200, seed=cfg.seed, threads=threads)
     calibration_rows.append((cfg.label, cal))
-    gap = abs(cal.mean_offset - quad)
     claims.append((
         "control-split calibration misses the stratum effect under a "
         "partial null (gamma2 != 0)",
         f"offset {cal.mean_offset:.4f} +/- {cal.se_offset:.4f} vs true "
-        f"{quad:.4f}", gap > _CALIBRATION_SIGMAS * cal.se_offset))
+        f"{quad:.4f}", not _gap_check(cal.mean_offset, quad, cal.se_offset,
+                                      _CALIBRATION_SIGMAS)[2]))
 
     return claims, effect_rows, calibration_rows
 

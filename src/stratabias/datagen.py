@@ -34,9 +34,7 @@ reverse.  The fixed layout makes each record a pure function of
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -49,39 +47,11 @@ _CHUNK = 1 << 18
 FLOAT_FMT = "%.17g"
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One subject's complete potential-outcome row (both arms)."""
-
-    id: int
-    x: float
-    t_assigned: int
-    z: np.ndarray        # (2, K)  intermediates under arm t
-    eta: np.ndarray      # (2, K)
-    eps: np.ndarray      # (2,)
-    y: np.ndarray        # (2,)    outcome under arm t
-    a_seq: np.ndarray    # (2, K)  per-visit adherence
-    a: np.ndarray        # (2,)    overall adherence
-
-
-@dataclass(frozen=True)
-class ObservedRecord:
-    """The trial-visible projection of one subject under its assigned arm."""
-
-    id: int
-    x: float
-    t_assigned: int
-    z_obs: tuple[Optional[float], ...]
-    a_obs: int
-    y_obs: Optional[float]
-
-
 class SubjectData:
-    """Columnar container of generated subjects.
+    """Columnar container of generated subjects, one array per column.
 
-    Column arrays are exposed directly for vectorized work; indexing with
-    an int yields a :class:`SubjectRecord` view, so the object doubles as
-    a sequence of per-subject records.
+    Row i of every array is subject ``ids[i]``; the trailing axes index
+    the arm t in {0, 1} and the visit k.
     """
 
     def __init__(self, ids, x, t, z, eta, eps, y, a_seq, a):
@@ -97,16 +67,6 @@ class SubjectData:
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    def __getitem__(self, i: int) -> SubjectRecord:
-        return SubjectRecord(
-            id=int(self.ids[i]), x=float(self.x[i]), t_assigned=int(self.t[i]),
-            z=self.z[i].copy(), eta=self.eta[i].copy(), eps=self.eps[i].copy(),
-            y=self.y[i].copy(), a_seq=self.a_seq[i].copy(), a=self.a[i].copy(),
-        )
-
-    def __iter__(self) -> Iterator[SubjectRecord]:
-        return (self[i] for i in range(len(self)))
 
     @property
     def diff(self) -> np.ndarray:
@@ -128,18 +88,6 @@ class ObservedData:
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    def __getitem__(self, i: int) -> ObservedRecord:
-        z_row = tuple(None if np.isnan(v) else float(v) for v in self.z[i])
-        y_v = self.y[i]
-        return ObservedRecord(
-            id=int(self.ids[i]), x=float(self.x[i]), t_assigned=int(self.t[i]),
-            z_obs=z_row, a_obs=int(self.a[i]),
-            y_obs=None if np.isnan(y_v) else float(y_v),
-        )
-
-    def __iter__(self) -> Iterator[ObservedRecord]:
-        return (self[i] for i in range(len(self)))
 
     def subset(self, mask: np.ndarray) -> "ObservedData":
         return ObservedData(self.ids[mask], self.x[mask], self.t[mask],

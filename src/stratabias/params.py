@@ -4,7 +4,7 @@ A trial simulation is driven by a single immutable :class:`ModelParams`
 holding every coefficient of the generative model (baseline covariate,
 intermediate outcomes, final outcome, sequential adherence) plus the
 scenario-level knobs in :class:`ScenarioConfig` (sample size, seed,
-replicates, label).
+label).
 
 Scenario files are flat JSON objects whose keys are exactly the field
 names below; unknown keys are rejected so a typo cannot silently fall
@@ -29,7 +29,6 @@ _OPTIONAL: dict[str, Any] = {
     "gamma2": 0.0,
     "K": 3,
     "p_treat": 0.5,
-    "replicate_count": 1,
     "label": "unnamed",
 }
 
@@ -114,21 +113,17 @@ class ScenarioConfig:
     params: ModelParams
     n: int
     seed: int
-    replicate_count: int = 1
     label: str = "unnamed"
 
     def __post_init__(self):
         if self.n < 2:
             raise ParamError("n must be >= 2")
-        if self.replicate_count < 1:
-            raise ParamError("replicate_count must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ParamError("seed must be a 64-bit unsigned integer")
 
     def to_dict(self) -> dict[str, Any]:
         out = self.params.to_dict()
-        out.update(n=self.n, seed=self.seed,
-                   replicate_count=self.replicate_count, label=self.label)
+        out.update(n=self.n, seed=self.seed, label=self.label)
         return out
 
 
@@ -187,7 +182,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
     """Load a scenario from a JSON file path or an already-parsed mapping.
 
     The document holds the ModelParams keys plus n, seed and optionally
-    replicate_count and label.  Unknown keys fail validation.
+    label.  Unknown keys fail validation.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -197,7 +192,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
     else:
         raw = dict(source)
 
-    scenario_keys = {"n", "seed", "replicate_count", "label"}
+    scenario_keys = {"n", "seed", "label"}
     param_doc = {k: v for k, v in raw.items() if k not in scenario_keys}
     params = validate(param_doc)
 
@@ -210,14 +205,10 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
         raise ParamError(f"n must be an integer, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ParamError(f"seed must be an integer, got {seed!r}")
-    rep = raw.get("replicate_count", _OPTIONAL["replicate_count"])
-    if isinstance(rep, bool) or not isinstance(rep, int):
-        raise ParamError(f"replicate_count must be an integer, got {rep!r}")
     label = raw.get("label", _OPTIONAL["label"])
     if not isinstance(label, str):
         raise ParamError(f"label must be a string, got {label!r}")
-    return ScenarioConfig(params=params, n=n, seed=seed,
-                          replicate_count=rep, label=label)
+    return ScenarioConfig(params=params, n=n, seed=seed, label=label)
 
 
 def dump_scenario(config: ScenarioConfig, path: str | Path) -> None:

@@ -34,9 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .datagen import generate
-from .params import ModelParams, ScenarioConfig, is_outcome_null
-from .strata import S_TREATED, EffectEstimate, oracle_effect
+from .params import ModelParams, is_outcome_null
 
 # Absolute slack for the refinement check: regimes whose exact value is 0
 # produce node-level noise around 1e-17 where a relative test is meaningless.
@@ -141,18 +139,3 @@ def null_stratum_effect(params: ModelParams,
                                 _ABS_FLOOR):
         raise RefinementError(coarse, fine, spec.rel_tol)
     return fine
-
-
-def mc_check(params: ModelParams, n: int, seed: int,
-             spec: QuadratureSpec | None = None
-             ) -> tuple[float, EffectEstimate]:
-    """Quadrature value next to a fresh Monte Carlo oracle estimate.
-
-    Simulates ``n`` subjects from ``params`` under ``seed`` and returns
-    (quadrature value, oracle estimate for the treated-adherent stratum);
-    agreement within a few SEs is the caller's check.
-    """
-    quad = null_stratum_effect(params, spec)
-    data = generate(ScenarioConfig(params=params, n=n, seed=seed,
-                                   label="mc-check"))
-    return quad, oracle_effect(data, S_TREATED)

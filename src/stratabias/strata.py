@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datagen import SubjectData, SubjectRecord
+from .datagen import SubjectData
 
 
 class EmptyStratumError(ValueError):
@@ -37,8 +37,8 @@ class StratumLabel:
     req1: Optional[int]
     code: str
 
-    def matches(self, a0, a1):
-        ok = np.ones(np.shape(a0), dtype=bool) if np.ndim(a0) else True
+    def matches(self, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+        ok = np.ones(np.shape(a0), dtype=bool)
         if self.req0 is not None:
             ok = ok & (a0 == self.req0)
         if self.req1 is not None:
@@ -83,11 +83,6 @@ class BiasReport:
 def exact_mean(values: np.ndarray) -> float:
     """Exactly-rounded mean: independent of summation order and grouping."""
     return math.fsum(values.tolist()) / len(values)
-
-
-def classify(record: SubjectRecord, label: StratumLabel) -> bool:
-    """Whether one subject belongs to the stratum."""
-    return bool(label.matches(int(record.a[0]), int(record.a[1])))
 
 
 def members(data: SubjectData, label: StratumLabel) -> np.ndarray:

@@ -1,18 +1,21 @@
 """Fitting, plug-in estimation, and split-based null calibration."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from stratabias import calibration
 from stratabias.calibration import (ESTIMATORS, CalibrationError,
                                     EstimatorError, FitError,
                                     SeparationError, estimate_naive,
                                     estimate_plugin, fit_outcome_baseline,
                                     fit_sequential_logistic, split_calibrate,
                                     write_calibration_csv, write_fit_csv)
+from stratabias.cli import main as cli_main
 from stratabias.datagen import generate, observe
 from stratabias.params import ScenarioConfig, load_bundled
 from stratabias.quadrature import null_stratum_effect
@@ -142,16 +145,38 @@ def test_plugin_with_flat_weights_is_unweighted_difference():
     assert abs(est.value - flat) <= 0.01
 
 
-def test_plugin_one_shot_adherence_mode():
-    obs = trial(50_000, seed=42)
-    truth = null_stratum_effect(DEMO)
-    a = estimate_plugin(obs, compute_se=False).value
-    b = estimate_plugin(obs, compute_se=False,
-                        adherence_model="logistic").value
-    assert abs(a - truth) <= 0.04
-    assert abs(b - truth) <= 0.04
-    with pytest.raises(ValueError, match="adherence_model"):
-        estimate_plugin(obs, adherence_model="probit")
+def test_plugin_bootstrap_needs_two_resamples():
+    obs = trial(4_000, seed=42)
+    for n_boot in (1, 0):
+        with pytest.raises(ValueError, match="n_boot must be >= 2"):
+            estimate_plugin(obs, n_boot=n_boot)
+
+
+def test_plugin_bootstrap_failure_limit(monkeypatch):
+    """Failed resamples are skipped up to 10% of n_boot, then fatal."""
+    obs = trial(4_000, seed=42)
+    real_point = calibration._plugin_point
+
+    def failing_resamples(bad):
+        calls = {"n": 0}
+
+        def point(sub, rng):
+            calls["n"] += 1  # call 1 is the point value, then resamples
+            if calls["n"] - 2 in bad:
+                raise FitError("synthetic failure")
+            return real_point(sub, rng)
+        return point
+
+    monkeypatch.setattr(calibration, "_plugin_point",
+                        failing_resamples({3, 11}))
+    est = estimate_plugin(obs, seed=3, n_boot=20)
+    assert math.isfinite(est.se) and est.se > 0
+
+    monkeypatch.setattr(calibration, "_plugin_point",
+                        failing_resamples({3, 11, 17}))
+    with pytest.raises(EstimatorError, match="3 of n_boot=20") as err:
+        estimate_plugin(obs, seed=3, n_boot=20)
+    assert "replicate 3: synthetic failure" in str(err.value)
 
 
 # ------------------------------------------------------ split calibration
@@ -223,6 +248,22 @@ def test_split_input_validation():
         split_calibrate(ctrl, "oracle", R=4)
     with pytest.raises(ValueError, match="at least 4"):
         split_calibrate(ctrl.subset(np.arange(3)), "naive", R=4)
+
+
+def test_split_threads_must_be_positive(tmp_path, capsys):
+    ctrl = control_arm(1_000, seed=46)
+    for threads in (0, -5):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            split_calibrate(ctrl, "naive", R=4, threads=threads)
+
+    path = tmp_path / "scenario.json"
+    doc = load_bundled("full_null_demo").to_dict()
+    doc.update(n=2_000, seed=3)
+    path.write_text(json.dumps(doc))
+    rc = cli_main(["calibrate", str(path), "--estimator", "naive",
+                   "--R", "4", "--threads", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
 
 
 def test_split_offsets_match_real_trial_spread():

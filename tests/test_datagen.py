@@ -155,8 +155,7 @@ def test_structural_invariants_hold(seed, k, gamma0, sigma_eta):
     assert (data.a_seq[:, :, 1:] <= data.a_seq[:, :, :-1]).all()
     assert (data.a == data.a_seq[:, :, -1]).all()
     assert np.isfinite(data.y).all() and np.isfinite(data.z).all()
-    rec = data[0]
-    assert rec.id == 0 and rec.z.shape == (2, k)
+    assert data.ids[0] == 0 and data.z[0].shape == (2, k)
 
 
 def test_observe_masks_follow_dropout():
@@ -184,10 +183,9 @@ def test_observe_masks_follow_dropout():
 def test_observed_record_view():
     data = generate(config(n=50, gamma0=-50.0))
     obs = observe(data)
-    rec = obs[7]
-    assert rec.a_obs == 0 and rec.y_obs is None
-    assert rec.z_obs[0] is not None and rec.z_obs[1] is None
-    assert len(list(obs)) == 50
+    assert obs.a[7] == 0 and np.isnan(obs.y[7])
+    assert not np.isnan(obs.z[7, 0]) and np.isnan(obs.z[7, 1])
+    assert len(obs) == 50
 
 
 def test_subjects_csv_layout(tmp_path):

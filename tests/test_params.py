@@ -38,6 +38,9 @@ def test_defaults_applied():
 def test_unknown_key_fails_closed():
     with pytest.raises(ParamError, match="gamma4"):
         validate(doc(gamma4=1.0))
+    # replicate_count was read by no computation and is no longer a key
+    with pytest.raises(ParamError, match="unknown key.*replicate_count"):
+        load_scenario(doc(n=10, seed=1, replicate_count=1))
 
 
 @pytest.mark.parametrize("key,value", [
@@ -82,14 +85,12 @@ def test_scenario_requires_n_and_seed():
     with pytest.raises(ParamError, match="seed"):
         load_scenario(doc(n=100))
     cfg = load_scenario(doc(n=100, seed=1))
-    assert cfg.replicate_count == 1 and cfg.label == "unnamed"
+    assert cfg.label == "unnamed"
 
 
 def test_scenario_bounds():
     with pytest.raises(ParamError, match="n"):
         load_scenario(doc(n=1, seed=1))
-    with pytest.raises(ParamError, match="replicate_count"):
-        load_scenario(doc(n=10, seed=1, replicate_count=0))
     with pytest.raises(ParamError, match="seed"):
         load_scenario(doc(n=10, seed=2**64))
 
@@ -102,8 +103,7 @@ def test_file_round_trip(tmp_path):
     assert again == cfg
     # the file carries exactly the documented keys
     keys = set(json.loads(path.read_text()))
-    assert keys == set(BASE) | {"gamma2", "p_treat", "n", "seed",
-                                "replicate_count", "label"}
+    assert keys == set(BASE) | {"gamma2", "p_treat", "n", "seed", "label"}
 
 
 def test_scenario_file_must_be_object(tmp_path):

@@ -8,10 +8,12 @@ import pytest
 from scipy import integrate
 from scipy.special import expit
 
-from stratabias.params import load_bundled, validate
+from stratabias.datagen import generate
+from stratabias.params import ScenarioConfig, load_bundled, validate
 from stratabias.quadrature import (QuadratureError, QuadratureSpec,
                                    RefinementError, gauss_hermite_normal,
-                                   mc_check, null_stratum_effect)
+                                   null_stratum_effect)
+from stratabias.strata import S_TREATED, oracle_effect
 
 DEMO = load_bundled("full_null_demo").params
 
@@ -138,6 +140,8 @@ def test_mc_cross_check_general_configuration():
     """Intercepts, slopes and the arm shift all exercised at once."""
     p = params(mu_x=0.4, alpha0=[0.3, -0.2, 0.1], gamma1=-0.25,
                gamma2=0.8, beta3=[0.5, 0.3, 0.6], gamma3=[0.6, 0.4, 0.7])
-    quad, est = mc_check(p, n=300_000, seed=1234)
+    quad = null_stratum_effect(p)
+    est = oracle_effect(
+        generate(ScenarioConfig(params=p, n=300_000, seed=1234)), S_TREATED)
     assert est.n_members > 50_000
     assert abs(quad - est.value) <= 3.5 * est.se

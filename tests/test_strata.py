@@ -9,7 +9,7 @@ from stratabias.datagen import SubjectData, generate
 from stratabias.params import load_scenario
 from stratabias.strata import (EmptyStratumError, S_BOTH, S_CONTROL,
                                S_TREATED, StratumLabel, bias_decomposition,
-                               classify, exact_mean, members, oracle_effect,
+                               exact_mean, members, oracle_effect,
                                tower_check, write_effects_csv)
 
 
@@ -34,7 +34,7 @@ def test_membership_predicates():
     assert members(data, S_BOTH).tolist() == [True, False, False, False]
     assert members(data, S_TREATED).tolist() == [True, False, True, False]
     assert members(data, S_CONTROL).tolist() == [True, True, False, False]
-    assert classify(data[0], S_BOTH) and not classify(data[1], S_TREATED)
+    assert members(data, S_BOTH)[0] and not members(data, S_TREATED)[1]
     free = StratumLabel(None, None, "S_**")
     assert members(data, free).all()
 
