@@ -21,8 +21,7 @@ from .datagen import (ObservedData, SubjectData, generate, generate_block,
 from .strata import (EffectEstimate, EmptyStratumError, S_BOTH, S_CONTROL,
                      S_TREATED, StratumLabel, bias_decomposition, members,
                      oracle_effect, tower_check, write_effects_csv)
-from .quadrature import (QuadratureError, QuadratureSpec, RefinementError,
-                         null_stratum_effect)
+from .quadrature import QuadratureError, RefinementError, null_stratum_effect
 from .calibration import (ESTIMATORS, CalibrationError, EstimatorError,
                           FitError, LogisticFit, OutcomeFit, SeparationError,
                           SplitCalibration, estimate_naive, estimate_plugin,
@@ -44,8 +43,7 @@ __all__ = [
     "S_TREATED", "StratumLabel", "bias_decomposition", "members",
     "oracle_effect", "tower_check", "write_effects_csv",
     # quadrature
-    "QuadratureError", "QuadratureSpec", "RefinementError",
-    "null_stratum_effect",
+    "QuadratureError", "RefinementError", "null_stratum_effect",
     # calibration
     "ESTIMATORS", "CalibrationError", "EstimatorError", "FitError",
     "LogisticFit", "OutcomeFit", "SeparationError", "SplitCalibration",

@@ -33,10 +33,9 @@ from .calibration import (CalibrationError, EstimatorError, FitError,
                           fit_sequential_logistic, split_calibrate,
                           write_calibration_csv, write_fit_csv)
 from .datagen import generate, observe, write_observed_csv, write_subjects_csv
-from .params import (ParamError, ScenarioConfig, is_outcome_null,
-                     load_bundled, load_scenario)
-from .quadrature import (QuadratureError, QuadratureSpec, RefinementError,
-                         null_stratum_effect)
+from .params import (ScenarioConfig, is_outcome_null, load_bundled,
+                     load_scenario)
+from .quadrature import RefinementError, null_stratum_effect
 from .strata import (S_BOTH, S_TREATED, EffectEstimate, oracle_effect,
                      write_effects_csv)
 
@@ -108,13 +107,9 @@ def cmd_true_effect(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
     out = _out_dir(args)
-    qspec = QuadratureSpec()
-    if args.nodes is not None:
-        qspec = QuadratureSpec(nodes_x=args.nodes, nodes_xi=args.nodes)
-
     quad = None
     if args.method in ("quadrature", "both"):
-        quad = null_stratum_effect(cfg.params, qspec)
+        quad = null_stratum_effect(cfg.params, args.nodes)
 
     print(f"scenario '{cfg.label}': n={cfg.n}, seed={cfg.seed}")
     data = generate(cfg)
@@ -158,6 +153,9 @@ def cmd_calibrate(args) -> int:
     control = obs.subset(obs.t == 0)
     print(f"scenario '{cfg.label}': estimator={args.estimator}, "
           f"R={args.R}, control n={len(control)}")
+    # fitted before the splits: a singular arm-1 design (sigma_eta = 0)
+    # fails every split the same way, so it is reported before any runs
+    fit = fit_sequential_logistic(obs, arm=1)
     cal = split_calibrate(control, estimator=args.estimator, R=args.R,
                           seed=cfg.seed, threads=args.threads)
     print(f"mean offset: {cal.mean_offset:.4f} +/- {cal.se_offset:.4f} "
@@ -173,7 +171,7 @@ def cmd_calibrate(args) -> int:
     calibration_path = out / "calibration.csv"
     write_calibration_csv([(cfg.label, cal)], calibration_path)
     fit_path = out / "fit.csv"
-    write_fit_csv(fit_sequential_logistic(obs, arm=1), fit_path)
+    write_fit_csv(fit, fit_path)
     for p in (calibration_path, fit_path):
         print(f"wrote {p}")
     _write_manifest(out, "calibrate", cfg.label, cfg.seed,
@@ -282,12 +280,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
-    common.add_argument("--threads", type=int,
-                        default=os.cpu_count() or 1,
-                        help="worker cap for parallel sections "
-                             "(results do not depend on it)")
     common.add_argument("--out", default=".",
                         help="output directory (created if missing)")
+    threaded = argparse.ArgumentParser(add_help=False)
+    threaded.add_argument("--threads", type=int,
+                          default=os.cpu_count() or 1,
+                          help="worker cap for the calibration splits "
+                               "(results do not depend on it)")
 
     parser = argparse.ArgumentParser(
         prog="stratabias",
@@ -315,11 +314,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.add_argument("--n", type=int, default=None,
                    help="override the scenario's subject count")
-    p.add_argument("--nodes", type=int, default=None,
-                   help="quadrature nodes per dimension")
+    p.add_argument("--nodes", type=int, default=64,
+                   help="quadrature nodes per dimension, checked against "
+                        "twice as many (default: %(default)s)")
     p.set_defaults(func=cmd_true_effect)
 
-    p = sub.add_parser("calibrate", parents=[common],
+    p = sub.add_parser("calibrate", parents=[common, threaded],
                        help="random-split null calibration on the "
                             "control arm")
     p.add_argument("scenario")
@@ -333,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "estimator's outcome model wants this)")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("paper-demo", parents=[common],
+    p = sub.add_parser("paper-demo", parents=[common, threaded],
                        help="run the bundled scenario suite and write a "
                             "PASS/FAIL report")
     p.set_defaults(func=cmd_paper_demo)
@@ -344,21 +344,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RefinementError as exc:
+    except (RefinementError, CalibrationError, FitError, EstimatorError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParamError, QuadratureError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # ParamError, QuadratureError, bad JSON, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CalibrationError, FitError, EstimatorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -29,6 +29,10 @@ its uniform falls below the logistic probability, so raising gamma0 with
 the same seed can only turn non-adherers into adherers, never the
 reverse.  The fixed layout makes each record a pure function of
 (seed, id) - chunking and parallelism cannot change the data.
+
+The noise draws eta and eps are consumed chunk by chunk but not kept:
+``SubjectData`` stores only what the oracles, estimators and writers
+read (x, t, z, y and the adherence path).
 """
 
 from __future__ import annotations
@@ -50,23 +54,30 @@ FLOAT_FMT = "%.17g"
 class SubjectData:
     """Columnar container of generated subjects, one array per column.
 
-    Row i of every array is subject ``ids[i]``; the trailing axes index
-    the arm t in {0, 1} and the visit k.
+    Six stored columns; row i of every array is subject ``ids[i]``, and
+    the trailing axes index the arm t in {0, 1} and the visit k:
+
+        ids (n,), x (n,), t (n,), z (n, 2, K), y (n, 2), a_seq (n, 2, K)
+
+    Derived, not stored: ``a`` (overall adherence, the last visit of
+    ``a_seq``) and ``diff`` (the contrast y(1) - y(0)).
     """
 
-    def __init__(self, ids, x, t, z, eta, eps, y, a_seq, a):
+    def __init__(self, ids, x, t, z, y, a_seq):
         self.ids = ids
         self.x = x
         self.t = t
-        self.z = z          # (n, 2, K)
-        self.eta = eta      # (n, 2, K)
-        self.eps = eps      # (n, 2)
-        self.y = y          # (n, 2)
-        self.a_seq = a_seq  # (n, 2, K)
-        self.a = a          # (n, 2)
+        self.z = z
+        self.y = y
+        self.a_seq = a_seq
 
     def __len__(self) -> int:
         return self.ids.shape[0]
+
+    @property
+    def a(self) -> np.ndarray:
+        """Overall adherence A(t) per arm, a view of ``a_seq[:, :, -1]``."""
+        return self.a_seq[:, :, -1]
 
     @property
     def diff(self) -> np.ndarray:
@@ -110,11 +121,8 @@ def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectDa
     out_x = np.empty(n)
     out_t = np.empty(n, dtype=np.int8)
     out_z = np.empty((n, 2, K))
-    out_eta = np.empty((n, 2, K))
-    out_eps = np.empty((n, 2))
     out_y = np.empty((n, 2))
     out_aseq = np.empty((n, 2, K), dtype=np.int8)
-    out_a = np.empty((n, 2), dtype=np.int8)
 
     alpha0 = np.asarray(params.alpha0)
     alpha1 = np.asarray(params.alpha1)
@@ -123,18 +131,16 @@ def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectDa
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        sl = slice(lo, hi)
-        u = uniform_matrix(seed, ids[sl], draws_per_subject(K))
+        u = uniform_matrix(seed, ids[lo:hi], draws_per_subject(K))
+        x, t = out_x[lo:hi], out_t[lo:hi]
+        z, y, a_seq = out_z[lo:hi], out_y[lo:hi], out_aseq[lo:hi]
 
-        x = params.mu_x + params.sigma_x * ndtri(u[:, 0])
-        t = (u[:, 1] < params.p_treat).astype(np.int8)
+        x[:] = params.mu_x + params.sigma_x * ndtri(u[:, 0])
+        t[:] = u[:, 1] < params.p_treat
         eta = params.sigma_eta * ndtri(u[:, 2:2 + 2 * K]).reshape(-1, 2, K)
         eps = params.sigma_eps * ndtri(u[:, 2 + 2 * K:4 + 2 * K])
         u_adh = u[:, 4 + 2 * K:]
 
-        z = np.empty((hi - lo, 2, K))
-        y = np.empty((hi - lo, 2))
-        a_seq = np.empty((hi - lo, 2, K), dtype=np.int8)
         for arm in (0, 1):
             for k in range(K):
                 z[:, arm, k] = alpha0[k] + alpha1[k] * x + alpha2[k] * arm + eta[:, arm, k]
@@ -150,17 +156,8 @@ def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectDa
                 a_seq[:, arm, k] = adhere
                 alive = adhere
 
-        out_x[sl] = x
-        out_t[sl] = t
-        out_z[sl] = z
-        out_eta[sl] = eta
-        out_eps[sl] = eps
-        out_y[sl] = y
-        out_aseq[sl] = a_seq
-        out_a[sl] = a_seq[:, :, K - 1]
-
-    return SubjectData(ids.astype(np.int64), out_x, out_t, out_z, out_eta,
-                       out_eps, out_y, out_aseq, out_a)
+    return SubjectData(ids.astype(np.int64), out_x, out_t, out_z, out_y,
+                       out_aseq)
 
 
 def generate(config: ScenarioConfig) -> SubjectData:
@@ -193,7 +190,7 @@ def observe(data: SubjectData, keep_y_after_dropout: bool = False) -> ObservedDa
     if not keep_y_after_dropout:
         y_obs[a_obs == 0] = np.nan
     return ObservedData(data.ids.copy(), data.x.copy(), data.t.copy(),
-                        z_obs, a_obs.copy(), y_obs, K)
+                        z_obs, a_obs, y_obs, K)
 
 
 def _fmt(v: float) -> str:
@@ -211,12 +208,13 @@ def write_subjects_csv(data: SubjectData, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
+        a = data.a
         for i in range(len(data)):
             row = [int(data.ids[i]), _fmt(data.x[i]), int(data.t[i])]
             row += [_fmt(v) for v in data.z[i, 0]] + [_fmt(v) for v in data.z[i, 1]]
             row += [_fmt(data.y[i, 0]), _fmt(data.y[i, 1])]
             row += [int(v) for v in data.a_seq[i, 0]] + [int(v) for v in data.a_seq[i, 1]]
-            row += [int(data.a[i, 0]), int(data.a[i, 1])]
+            row += [int(a[i, 0]), int(a[i, 1])]
             w.writerow(row)
 
 

@@ -29,13 +29,14 @@ control-arm calibration stops matching this quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .params import ModelParams, is_outcome_null
 
+# Relative agreement required between the result at n nodes and at 2n.
+_REL_TOL = 1e-9
 # Absolute slack for the refinement check: regimes whose exact value is 0
 # produce node-level noise around 1e-17 where a relative test is meaningless.
 _ABS_FLOOR = 1e-12
@@ -46,32 +47,16 @@ class QuadratureError(ValueError):
 
 
 class RefinementError(QuadratureError):
-    """Doubling the node counts moved the result more than allowed."""
+    """Doubling the node count moved the result more than allowed."""
 
-    def __init__(self, coarse: float, fine: float, rel_tol: float):
+    def __init__(self, coarse: float, fine: float):
         self.coarse = coarse
         self.fine = fine
         super().__init__(
             "quadrature did not stabilize under node doubling: "
-            f"{coarse!r} vs {fine!r} (rel_tol={rel_tol:g}); "
-            "increase nodes_x/nodes_xi"
+            f"{coarse!r} vs {fine!r} (rel_tol={_REL_TOL:g}); "
+            "increase nodes"
         )
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node counts and the refinement policy for the closed-form oracle."""
-
-    nodes_x: int = 64
-    nodes_xi: int = 64
-    refine: bool = True
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.nodes_x < 2 or self.nodes_xi < 2:
-            raise ValueError("node counts must be >= 2")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
 
 
 def gauss_hermite_normal(mu: float, sigma: float, nodes: int):
@@ -110,17 +95,17 @@ def _evaluate(p: ModelParams, nodes_x: int, nodes_xi: int) -> float:
     return float(wx @ num_x) / den
 
 
-def null_stratum_effect(params: ModelParams,
-                        spec: QuadratureSpec | None = None) -> float:
+def null_stratum_effect(params: ModelParams, nodes: int = 64) -> float:
     """Treated-adherent stratum effect on y under an outcome-null model.
 
     Requires alpha2 = 0 and beta2 = 0 (the stratum effect has a closed
     form only when the outcome pathway is null); gamma2 may be nonzero.
-    With refinement on (the default), the result is re-evaluated at
-    doubled node counts and the refined value is returned; disagreement
-    beyond ``rel_tol`` raises RefinementError carrying both values.
+    The result at ``nodes`` nodes per dimension is re-evaluated at twice
+    as many and the refined value is returned; a relative gap above 1e-9
+    raises RefinementError carrying both values.
     """
-    spec = spec or QuadratureSpec()
+    if nodes < 2:
+        raise ValueError("node count must be >= 2")
     if not is_outcome_null(params):
         raise QuadratureError(
             "closed form requires an outcome-null model "
@@ -131,11 +116,9 @@ def null_stratum_effect(params: ModelParams,
         # degenerate intermediates: nothing to tilt, the effect is exactly 0
         return 0.0
 
-    coarse = _evaluate(params, spec.nodes_x, spec.nodes_xi)
-    if not spec.refine:
-        return coarse
-    fine = _evaluate(params, 2 * spec.nodes_x, 2 * spec.nodes_xi)
-    if abs(fine - coarse) > max(spec.rel_tol * max(abs(fine), abs(coarse)),
+    coarse = _evaluate(params, nodes, nodes)
+    fine = _evaluate(params, 2 * nodes, 2 * nodes)
+    if abs(fine - coarse) > max(_REL_TOL * max(abs(fine), abs(coarse)),
                                 _ABS_FLOOR):
-        raise RefinementError(coarse, fine, spec.rel_tol)
+        raise RefinementError(coarse, fine)
     return fine

@@ -26,7 +26,7 @@ from stratabias.cli import main as cli_main
 from stratabias.datagen import generate, observe
 from stratabias.params import (ModelParams, bundled_scenario_names,
                                load_bundled)
-from stratabias.quadrature import QuadratureSpec, null_stratum_effect
+from stratabias.quadrature import null_stratum_effect
 from stratabias.strata import S_BOTH, S_TREATED, oracle_effect, tower_check
 
 # mean and SE of the treated-adherent stratum effect, n = 10^7 MC

@@ -169,3 +169,41 @@ def test_installed_entry_point():
         capture_output=True, text=True, check=True).stdout
     for sub in ("simulate", "true-effect", "calibrate", "paper-demo"):
         assert sub in helptext
+
+
+@pytest.mark.parametrize("case, args, code", [
+    ("refinement fails", ["--method", "quadrature", "--nodes", "2"], 1),
+    ("malformed JSON", ["--method", "quadrature"], 2),
+    ("one node", ["--method", "quadrature", "--nodes", "1"], 2),
+])
+def test_true_effect_exit_codes(tmp_path, capsys, case, args, code):
+    scen = scenario_file(tmp_path)
+    if case == "malformed JSON":
+        scen = tmp_path / "broken.json"
+        scen.write_text('{"label": "broken", "n": ')
+    rc = main(["true-effect", str(scen), *args,
+               "--out", str(tmp_path / "r")])
+    assert rc == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "true-effect"])
+def test_threads_only_where_used(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, scenario_file(tmp_path), "--threads", "2",
+              "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_calibrate_singular_design_fails_before_splitting(tmp_path, capsys):
+    doc = load_bundled("sigma_eta_zero").to_dict()
+    doc.update(n=20_000)
+    scen = tmp_path / "sigma_eta_zero.json"
+    scen.write_text(json.dumps(doc))
+    rc = main(["calibrate", str(scen), "--threads", "1",
+               "--out", str(tmp_path / "r")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "singular information matrix" in err
+    assert "replicates failed" not in err

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtri
 
 import stratabias.datagen as dg
 from stratabias.datagen import (draws_per_subject, generate, generate_block,
                                 observe, write_observed_csv,
                                 write_subjects_csv)
 from stratabias.params import ScenarioConfig, load_scenario
+from stratabias.rng import uniform_matrix
 
 BASE = {
     "mu_x": 0.2, "sigma_x": 1.0,
@@ -44,7 +46,7 @@ def test_shapes_and_dtypes():
 def test_generation_is_deterministic():
     cfg = config(n=2000)
     a, b = generate(cfg), generate(cfg)
-    for field in ("x", "z", "eta", "eps", "y", "a_seq", "a", "t"):
+    for field in ("x", "z", "y", "a_seq", "a", "t"):
         assert (getattr(a, field) == getattr(b, field)).all(), field
 
 
@@ -68,28 +70,43 @@ def test_chunk_size_is_invisible(monkeypatch):
 
 
 def test_outcome_reconstruction_exact():
-    """y is the documented linear combination of the stored pieces."""
+    """y and z are the documented combinations of the draws' noises."""
     cfg = config(n=4000)
     p = cfg.params
     data = generate(cfg)
+    # the noises are not stored: rebuild them from the draw layout
+    u = uniform_matrix(cfg.seed, data.ids, draws_per_subject(p.K))
+    eta = p.sigma_eta * ndtri(u[:, 2:2 + 2 * p.K]).reshape(-1, 2, p.K)
+    eps = p.sigma_eps * ndtri(u[:, 2 + 2 * p.K:4 + 2 * p.K])
     beta3 = np.asarray(p.beta3)
     for arm in (0, 1):
         acc = beta3[0] * data.z[:, arm, 0]
         for k in range(1, p.K):
             acc = acc + beta3[k] * data.z[:, arm, k]
         expect = p.beta0 + p.beta1 * data.x + p.beta2 * arm \
-            + acc + data.eps[:, arm]
+            + acc + eps[:, arm]
         assert (expect == data.y[:, arm]).all()
     for arm in (0, 1):
         for k in range(p.K):
             expect = p.alpha0[k] + p.alpha1[k] * data.x \
-                + p.alpha2[k] * arm + data.eta[:, arm, k]
+                + p.alpha2[k] * arm + eta[:, arm, k]
             assert (expect == data.z[:, arm, k]).all()
 
 
 def test_degenerate_noise_collapses():
-    data = generate(config(n=500, sigma_eta=0.0, sigma_eps=0.0))
-    assert (data.eta == 0).all() and (data.eps == 0).all()
+    cfg = config(n=500, sigma_eta=0.0, sigma_eps=0.0)
+    p = cfg.params
+    data = generate(cfg)
+    beta3 = np.asarray(p.beta3)
+    for arm in (0, 1):
+        for k in range(p.K):
+            line = p.alpha0[k] + p.alpha1[k] * data.x + p.alpha2[k] * arm
+            assert (data.z[:, arm, k] == line).all()
+        acc = beta3[0] * data.z[:, arm, 0]
+        for k in range(1, p.K):
+            acc = acc + beta3[k] * data.z[:, arm, k]
+        line = p.beta0 + p.beta1 * data.x + p.beta2 * arm + acc
+        assert (data.y[:, arm] == line).all()
     # with the outcome pathway null, y(1) == y(0) exactly
     assert (data.y[:, 0] == data.y[:, 1]).all()
 

@@ -8,11 +8,11 @@ import pytest
 from scipy import integrate
 from scipy.special import expit
 
+from stratabias import quadrature
 from stratabias.datagen import generate
 from stratabias.params import ScenarioConfig, load_bundled, validate
-from stratabias.quadrature import (QuadratureError, QuadratureSpec,
-                                   RefinementError, gauss_hermite_normal,
-                                   null_stratum_effect)
+from stratabias.quadrature import (QuadratureError, RefinementError,
+                                   gauss_hermite_normal, null_stratum_effect)
 from stratabias.strata import S_TREATED, oracle_effect
 
 DEMO = load_bundled("full_null_demo").params
@@ -30,10 +30,9 @@ def params(**overrides):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes_x=1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
+    for nodes in (1, 0, -4):
+        with pytest.raises(ValueError, match="node count"):
+            null_stratum_effect(DEMO, nodes=nodes)
 
 
 def test_gauss_hermite_helper_integrates_moments():
@@ -118,14 +117,13 @@ def test_sign_follows_loading_products():
 
 
 def test_node_refinement_is_stable_and_reported():
-    coarse_only = null_stratum_effect(
-        DEMO, QuadratureSpec(nodes_x=32, nodes_xi=32, refine=False))
+    coarse_only = quadrature._evaluate(DEMO, 32, 32)
     refined = null_stratum_effect(DEMO)
     assert abs(coarse_only - refined) <= 1e-9 * abs(refined)
 
+    # 2 nodes against 4 differ by about 1.1e-3 relative
     with pytest.raises(RefinementError) as err:
-        null_stratum_effect(
-            DEMO, QuadratureSpec(nodes_x=2, nodes_xi=2, rel_tol=1e-12))
+        null_stratum_effect(DEMO, nodes=2)
     assert err.value.coarse != err.value.fine
     assert "nodes" in str(err.value)
 

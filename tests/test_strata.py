@@ -24,9 +24,8 @@ def tiny_data(a0, a1, diff=None, x=None):
     a_seq = a[:, :, None].repeat(2, axis=2)
     return SubjectData(
         ids=np.arange(n, dtype=np.int64), x=x,
-        t=np.zeros(n, dtype=np.int8), z=np.zeros((n, 2, 2)),
-        eta=np.zeros((n, 2, 2)), eps=np.zeros((n, 2)), y=y,
-        a_seq=a_seq, a=a)
+        t=np.zeros(n, dtype=np.int8), z=np.zeros((n, 2, 2)), y=y,
+        a_seq=a_seq)
 
 
 def test_membership_predicates():
@@ -74,8 +73,7 @@ def test_permutation_invariance_bitwise():
     perm = np.random.default_rng(0).permutation(len(data))
     shuffled = SubjectData(
         ids=data.ids[perm], x=data.x[perm], t=data.t[perm], z=data.z[perm],
-        eta=data.eta[perm], eps=data.eps[perm], y=data.y[perm],
-        a_seq=data.a_seq[perm], a=data.a[perm])
+        y=data.y[perm], a_seq=data.a_seq[perm])
     for label in (S_BOTH, S_TREATED, S_CONTROL):
         a = oracle_effect(data, label)
         b = oracle_effect(shuffled, label)
