@@ -34,7 +34,6 @@ the model is fit on adherers only and inherits their selection tilt.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,7 +43,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import expit
 
-from .datagen import ObservedData
+from .datagen import ObservedData, write_table
 from .strata import S_TREATED, EffectEstimate, exact_mean
 
 _MAX_ITER = 50
@@ -431,24 +430,19 @@ def split_calibrate(observed_control: ObservedData,
 def write_calibration_csv(rows: list[tuple[str, SplitCalibration]],
                           path: str | Path) -> None:
     """Calibration report; rows are (scenario_label, calibration)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario_label", "estimator", "R", "mean_offset",
-                    "se_offset", "n_failed_splits"])
-        for label, cal in rows:
-            w.writerow([label, cal.estimator, cal.R,
-                        "%.17g" % cal.mean_offset,
-                        "%.17g" % cal.se_offset, cal.n_failed])
+    cals = [cal for _, cal in rows]
+    write_table(path, [("scenario_label", [label for label, _ in rows])]
+                + [(name, [getattr(c, name) for c in cals])
+                   for name in ("estimator", "R", "mean_offset", "se_offset")]
+                + [("n_failed_splits", [c.n_failed for c in cals])])
 
 
 def write_fit_csv(fit: LogisticFit, path: str | Path) -> None:
     """Per-visit coefficient dump for a sequential logistic fit."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["visit", "g0", "g1", "g3", "se_g0", "se_g1", "se_g3",
-                    "n_at_risk", "loglik", "iterations", "converged"])
-        for v in fit.visits:
-            w.writerow([v.visit] + ["%.17g" % c for c in v.coef]
-                       + ["%.17g" % s for s in v.se]
-                       + [v.n_at_risk, "%.17g" % v.loglik, v.iterations,
-                          int(v.converged)])
+    vs = fit.visits
+    coef, se = np.array([v.coef for v in vs]), np.array([v.se for v in vs])
+    write_table(path, [("visit", [v.visit for v in vs])]
+                + [(f"g{j}", coef[:, i]) for i, j in enumerate("013")]
+                + [(f"se_g{j}", se[:, i]) for i, j in enumerate("013")]
+                + [(name, [getattr(v, name) for v in vs]) for name in
+                   ("n_at_risk", "loglik", "iterations", "converged")])

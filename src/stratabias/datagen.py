@@ -48,7 +48,9 @@ from .rng import uniform_matrix
 
 _CHUNK = 1 << 18
 
-FLOAT_FMT = "%.17g"
+# Rows per formatted block in write_table: bounds the formatted strings
+# held in memory at once, whatever the table's length.
+_TABLE_BLOCK = 1 << 14
 
 
 class SubjectData:
@@ -105,7 +107,7 @@ class ObservedData:
                             self.z[mask], self.a[mask], self.y[mask], self.K)
 
     def relabeled(self, t_new: np.ndarray) -> "ObservedData":
-        """Copy with a replaced arm column (used by split calibration)."""
+        """View with a replaced arm column; every other array is shared."""
         return ObservedData(self.ids, self.x, t_new.astype(self.t.dtype),
                             self.z, self.a, self.y, self.K)
 
@@ -193,40 +195,47 @@ def observe(data: SubjectData, keep_y_after_dropout: bool = False) -> ObservedDa
                         z_obs, a_obs, y_obs, K)
 
 
-def _fmt(v: float) -> str:
-    return FLOAT_FMT % v
+def write_table(path: str | Path, columns: list[tuple[str, object]]) -> None:
+    """Write ``(header, values)`` pairs as a CSV table, one column each.
+
+    The one owner of the cell format: the default ``csv`` dialect (CRLF
+    line ends, quoting only where needed), integer and boolean columns as
+    integers, other numbers at 17 significant digits, NaN as empty cell.
+    Columns of unequal length raise ``ValueError``.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([h for h, _ in columns])
+        for lo in range(0, len(columns[0][1]), _TABLE_BLOCK):
+            cells = [_cells(v[lo:lo + _TABLE_BLOCK]) for _, v in columns]
+            w.writerows(zip(*cells, strict=True))
+
+
+def _cells(values) -> list:
+    col = np.asarray(values)
+    if col.dtype.kind == "U":  # fixed-width numpy strings drop trailing NULs
+        return list(values)
+    if col.dtype.kind == "b":
+        return col.astype(np.int64).tolist()
+    if col.dtype.kind == "f":
+        return ["%.17g" % v if v == v else "" for v in col.tolist()]
+    return col.tolist()
 
 
 def write_subjects_csv(data: SubjectData, path: str | Path) -> None:
-    """Full potential-outcome table, floats at 17 significant digits."""
+    """Full potential-outcome table, one row per subject."""
     K = data.z.shape[2]
-    header = (["id", "x", "t"]
-              + [f"z0_{k+1}" for k in range(K)] + [f"z1_{k+1}" for k in range(K)]
-              + ["y0", "y1"]
-              + [f"a0_{k+1}" for k in range(K)] + [f"a1_{k+1}" for k in range(K)]
-              + ["a0", "a1"])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        a = data.a
-        for i in range(len(data)):
-            row = [int(data.ids[i]), _fmt(data.x[i]), int(data.t[i])]
-            row += [_fmt(v) for v in data.z[i, 0]] + [_fmt(v) for v in data.z[i, 1]]
-            row += [_fmt(data.y[i, 0]), _fmt(data.y[i, 1])]
-            row += [int(v) for v in data.a_seq[i, 0]] + [int(v) for v in data.a_seq[i, 1]]
-            row += [int(a[i, 0]), int(a[i, 1])]
-            w.writerow(row)
+    visits = [(arm, k) for arm in (0, 1) for k in range(K)]
+    write_table(path, [("id", data.ids), ("x", data.x), ("t", data.t)]
+                + [(f"z{arm}_{k+1}", data.z[:, arm, k]) for arm, k in visits]
+                + [("y0", data.y[:, 0]), ("y1", data.y[:, 1])]
+                + [(f"a{arm}_{k+1}", data.a_seq[:, arm, k])
+                   for arm, k in visits]
+                + [("a0", data.a[:, 0]), ("a1", data.a[:, 1])])
 
 
 def write_observed_csv(obs: ObservedData, path: str | Path) -> None:
     """Observed-data table; empty cell = missing."""
-    header = ["id", "x", "t"] + [f"z_{k+1}" for k in range(obs.K)] + ["a", "y"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(len(obs)):
-            row = [int(obs.ids[i]), _fmt(obs.x[i]), int(obs.t[i])]
-            row += ["" if np.isnan(v) else _fmt(v) for v in obs.z[i]]
-            row.append(int(obs.a[i]))
-            row.append("" if np.isnan(obs.y[i]) else _fmt(obs.y[i]))
-            w.writerow(row)
+    write_table(path, [("id", obs.ids), ("x", obs.x), ("t", obs.t)]
+                + [(f"z_{k+1}", obs.z[:, k]) for k in range(obs.K)]
+                + [("a", obs.a), ("y", obs.y)])

@@ -14,7 +14,8 @@ back to a default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -23,14 +24,6 @@ from typing import Any, Mapping
 class ParamError(ValueError):
     """A scenario document failed validation; the message names the key."""
 
-
-# keys that may be omitted from a scenario document, with their defaults
-_OPTIONAL: dict[str, Any] = {
-    "gamma2": 0.0,
-    "K": 3,
-    "p_treat": 0.5,
-    "label": "unnamed",
-}
 
 _VECTOR_KEYS = ("alpha0", "alpha1", "alpha2", "beta3", "gamma3")
 
@@ -83,6 +76,11 @@ class ModelParams:
     p_treat: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            vals = v if f.name in _VECTOR_KEYS else (v,)
+            if not all(map(math.isfinite, vals)):
+                raise ParamError(f"{f.name} must be finite, got {v!r}")
         if self.K < 1:
             raise ParamError("K must be >= 1")
         if not self.sigma_x > 0:
@@ -120,6 +118,8 @@ class ScenarioConfig:
             raise ParamError("n must be >= 2")
         if not 0 <= self.seed < 2**64:
             raise ParamError("seed must be a 64-bit unsigned integer")
+        if not isinstance(self.label, str):
+            raise ParamError(f"label must be a string, got {self.label!r}")
 
     def to_dict(self) -> dict[str, Any]:
         out = self.params.to_dict()
@@ -138,8 +138,6 @@ def _require_vector(raw: Mapping[str, Any], key: str, k: int) -> tuple[float, ..
     v = raw[key]
     if not isinstance(v, (list, tuple)):
         raise ParamError(f"{key} must be an array of length K={k}")
-    if len(v) != k:
-        raise ParamError(f"{key} length {len(v)} != K={k}")
     if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
         raise ParamError(f"{key} entries must be numbers, got {v!r}")
     return tuple(float(x) for x in v)
@@ -158,9 +156,9 @@ def validate(raw: Mapping[str, Any]) -> ModelParams:
     if unknown:
         raise ParamError(f"unknown key(s): {', '.join(sorted(unknown))}")
 
-    doc = dict(raw)
-    for key in ("gamma2", "K", "p_treat"):
-        doc.setdefault(key, _OPTIONAL[key])
+    doc = {f.name: f.default for f in fields(ModelParams)
+           if f.default is not MISSING}
+    doc.update(raw)
 
     missing = known - set(doc)
     if missing:
@@ -205,10 +203,8 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
         raise ParamError(f"n must be an integer, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ParamError(f"seed must be an integer, got {seed!r}")
-    label = raw.get("label", _OPTIONAL["label"])
-    if not isinstance(label, str):
-        raise ParamError(f"label must be a string, got {label!r}")
-    return ScenarioConfig(params=params, n=n, seed=seed, label=label)
+    label = {"label": raw["label"]} if "label" in raw else {}
+    return ScenarioConfig(params=params, n=n, seed=seed, **label)
 
 
 def dump_scenario(config: ScenarioConfig, path: str | Path) -> None:

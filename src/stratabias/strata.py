@@ -14,7 +14,6 @@ invariance hold bit-for-bit, not just to rounding error.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datagen import SubjectData
+from .datagen import SubjectData, write_table
 
 
 class EmptyStratumError(ValueError):
@@ -161,9 +160,8 @@ def bias_decomposition(data: SubjectData) -> BiasReport:
 def write_effects_csv(rows: list[tuple[str, str, EffectEstimate]],
                       path: str | Path) -> None:
     """Effects report; rows are (scenario_label, stratum_code, estimate)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario_label", "stratum", "n_members", "value", "se"])
-        for label, code, est in rows:
-            w.writerow([label, code, est.n_members,
-                        "%.17g" % est.value, "%.17g" % est.se])
+    ests = [est for _, _, est in rows]
+    write_table(path, [("scenario_label", [label for label, _, _ in rows]),
+                       ("stratum", [code for _, code, _ in rows])]
+                + [(name, [getattr(e, name) for e in ests])
+                   for name in ("n_members", "value", "se")])

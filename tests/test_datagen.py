@@ -13,7 +13,7 @@ from scipy.special import ndtri
 import stratabias.datagen as dg
 from stratabias.datagen import (draws_per_subject, generate, generate_block,
                                 observe, write_observed_csv,
-                                write_subjects_csv)
+                                write_subjects_csv, write_table)
 from stratabias.params import ScenarioConfig, load_scenario
 from stratabias.rng import uniform_matrix
 
@@ -247,6 +247,28 @@ def test_observed_csv_layout(tmp_path):
             assert row[7] == ""
         else:
             assert float(row[7]) == obs.y[i]
+
+
+def test_table_cell_format(tmp_path, monkeypatch):
+    """CRLF rows, ints as ints, %.17g floats, NaN empty, RFC 4180 quoting."""
+    columns = [
+        ("id", np.array([0, 7, -3, 12])),
+        ("t", np.array([1, 0, 1, 0], dtype=np.int8)),
+        ("v", np.array([0.1, -0.0, 1e-300, np.nan])),
+        ("label", ["plain", "a,b", 'say "hi"', "x\0"]),
+        ("ok", [True, False, True, False]),
+    ]
+    expected = (b"id,t,v,label,ok\r\n"
+                b"0,1,0.10000000000000001,plain,1\r\n"
+                b'7,0,-0,"a,b",0\r\n'
+                b'-3,1,1e-300,"say ""hi""",1\r\n'
+                b"12,0,,x\0,0\r\n")
+    path = tmp_path / "table.csv"
+    write_table(path, columns)
+    assert path.read_bytes() == expected
+    monkeypatch.setattr(dg, "_TABLE_BLOCK", 3)
+    write_table(path, columns)
+    assert path.read_bytes() == expected
 
 
 def test_subset_and_relabel_views():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratabias.cli import main
 from stratabias.params import (ModelParams, ParamError, ScenarioConfig,
                                bundled_scenario_names, dump_scenario,
                                is_full_null, is_outcome_null, load_bundled,
@@ -77,6 +78,20 @@ def test_non_numeric_rejected():
         validate(doc(gamma0="one"))
     with pytest.raises(ParamError, match="beta3"):
         validate(doc(beta3=[0.1, "x", 0.3]))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("mu_x", float("inf")), ("sigma_eta", float("nan")),
+    ("beta3", [0.4, float("-inf"), 0.4]),
+])
+def test_non_finite_rejected(key, value, tmp_path, capsys):
+    with pytest.raises(ParamError, match=key):
+        validate(doc(**{key: value}))
+    # json writes and reads these as NaN / Infinity / -Infinity
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc(**{key: value}, n=1000, seed=1)))
+    assert main(["true-effect", str(path), "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_scenario_requires_n_and_seed():
