@@ -121,11 +121,12 @@ class SplitCalibration:
 
 
 def _loglik(eta: np.ndarray, r: np.ndarray) -> float:
-    return float(np.sum(r * eta) - np.sum(np.logaddexp(0.0, eta)))
+    softplus = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0)
+    return float((r * eta).sum() - softplus.sum())
 
 
-def _irls(X: np.ndarray, r: np.ndarray, what: str):
-    """Newton/IRLS logistic fit with a monotone line search.
+def _irls(x: np.ndarray, z: np.ndarray, r: np.ndarray, what: str):
+    """Newton/IRLS fit of logit Pr(r = 1) = b0 + b1*x + b2*z.
 
     Returns (beta, se, loglik_path, iterations, converged).  Updates are
     accepted only when the log-likelihood does not decrease beyond
@@ -134,41 +135,47 @@ def _irls(X: np.ndarray, r: np.ndarray, what: str):
     slack the line search stalls in the endgame, where full Newton steps
     still shrink the gradient but move the log-likelihood by under an ulp.
     """
-    beta = np.zeros(X.shape[1])
-    ll = _loglik(X @ beta, r)
+    beta = np.zeros(3)
+    eta = np.zeros_like(x)
+    ll = _loglik(eta, r)
     path = [ll]
     converged = False
-    for _ in range(_MAX_ITER):
-        mu = expit(X @ beta)
-        grad = X.T @ (r - mu)
-        if float(np.max(np.abs(grad))) <= _GRAD_TOL:
-            converged = True
-            break
+    for it in range(_MAX_ITER + 1):
+        # the information at the final beta also gives the SEs
+        mu = expit(eta)
         w = mu * (1.0 - mu)
+        res = r - mu
+        sx, sz, sxz = (w * x).sum(), (w * z).sum(), (w * x * z).sum()
+        info = np.array([[w.sum(), sx, sz], [sx, (w * x * x).sum(), sxz],
+                         [sz, sxz, (w * z * z).sum()]])
+        grad = np.array([res.sum(), (res * x).sum(), (res * z).sum()])
+        if it == _MAX_ITER or float(np.max(np.abs(grad))) <= _GRAD_TOL:
+            converged = it < _MAX_ITER
+            break
         try:
-            step = np.linalg.solve(X.T @ (X * w[:, None]), grad)
+            step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError:
             raise SeparationError(
                 f"quasi-separation while fitting {what}: "
                 "singular information matrix") from None
+        del mu, w, res  # free three columns before the line search
         for _ in range(40):
             cand = beta + step
-            ll_new = _loglik(X @ cand, r)
+            eta_new = cand[0] + cand[1] * x + cand[2] * z
+            ll_new = _loglik(eta_new, r)
             if ll_new >= ll - _LL_SLACK:
                 break
             step = 0.5 * step
         else:
             break  # no ascent direction left at float resolution
-        beta, ll = cand, ll_new
+        beta, eta, ll = cand, eta_new, ll_new
         path.append(ll)
         if float(np.max(np.abs(beta))) > _COEF_CAP:
             raise SeparationError(
                 f"quasi-separation while fitting {what}: "
                 f"|coefficient| exceeded {_COEF_CAP:g}")
-    mu = expit(X @ beta)
-    w = mu * (1.0 - mu)
     try:
-        cov = np.linalg.inv(X.T @ (X * w[:, None]))
+        cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         raise SeparationError(
             f"quasi-separation while fitting {what}: "
@@ -186,61 +193,63 @@ def fit_sequential_logistic(observed: ObservedData, arm: int) -> LogisticFit:
     visit).  Within an arm any arm-level intercept shift is absorbed
     into g0.
     """
-    rows = observed.t == arm
-    x = observed.x[rows]
-    z = observed.z[rows]
-    a = observed.a[rows]
-    K = observed.K
-    visits = []
-    for k in range(K):
-        at_risk = ~np.isnan(z[:, k])
-        m = int(at_risk.sum())
+    return _fit_rows(observed, observed.t == arm, arm)[0]
+
+
+def _fit_rows(observed: ObservedData, rows: np.ndarray, arm: int):
+    """fit_sequential_logistic and _fit_visit_linear on the masked rows."""
+    # integer gathers: several times faster than by a scattered bool mask
+    idx = np.flatnonzero(rows)
+    x, z, a = observed.x[idx], observed.z.take(idx, axis=0), observed.a[idx]
+    visits, columns = [], []
+    for k in range(observed.K):
+        at_risk = np.flatnonzero(~np.isnan(z[:, k]))
+        m = at_risk.size
         if m < _MIN_AT_RISK:
             raise FitError(
                 f"visit {k + 1} in arm {arm}: only {m} at-risk subjects "
                 f"(need >= {_MIN_AT_RISK})")
-        if k + 1 < K:
-            resp = ~np.isnan(z[at_risk, k + 1])
-        else:
-            resp = a[at_risk] == 1
-        X = np.column_stack([np.ones(m), x[at_risk], z[at_risk, k]])
+        resp = (~np.isnan(z[:, k + 1][at_risk]) if k + 1 < observed.K
+                else a[at_risk] == 1)
+        columns.append((x[at_risk], z[:, k][at_risk]))
         beta, se, path, iters, conv = _irls(
-            X, resp.astype(float), f"visit {k + 1} in arm {arm}")
+            *columns[-1], resp, f"visit {k + 1} in arm {arm}")
         visits.append(VisitFit(
             visit=k + 1, coef=tuple(map(float, beta)),
             se=tuple(map(float, se)), n_at_risk=m, loglik=path[-1],
             loglik_path=path, iterations=iters, converged=conv))
-    return LogisticFit(visits=tuple(visits))
+    return LogisticFit(visits=tuple(visits)), _fit_visit_linear(columns, arm)
+
+
+def _line(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y ~ a + b*x in centred closed form: (a, b, resid)."""
+    xm, ym = float(x.mean()), float(y.mean())
+    dx, dy = x - xm, y - ym
+    b = float((dx * dy).sum() / (dx * dx).sum())
+    dy -= b * dx
+    return ym - b * xm, b, dy
 
 
 def fit_outcome_baseline(observed: ObservedData, arm: int = 0) -> OutcomeFit:
     """Least squares of the observed outcome on baseline x within an arm."""
-    rows = (observed.t == arm) & ~np.isnan(observed.y)
-    m = int(rows.sum())
+    idx = np.flatnonzero((observed.t == arm) & ~np.isnan(observed.y))
+    m = idx.size
     if m < 3:
         raise FitError(f"arm {arm}: only {m} subjects with observed outcome")
-    X = np.column_stack([np.ones(m), observed.x[rows]])
-    coef, _, _, _ = np.linalg.lstsq(X, observed.y[rows], rcond=None)
-    return OutcomeFit(intercept=float(coef[0]), slope_x=float(coef[1]), n=m)
+    a, b, _ = _line(observed.x[idx], observed.y[idx])
+    return OutcomeFit(intercept=a, slope_x=b, n=m)
 
 
-def _fit_visit_linear(observed: ObservedData, arm: int):
-    """Per-visit least-squares models z_k ~ x on the arm's at-risk subjects."""
-    rows = observed.t == arm
-    x = observed.x[rows]
-    z = observed.z[rows]
+def _fit_visit_linear(columns, arm: int):
+    """Per-visit least-squares models z_k ~ x on the at-risk subjects."""
     models = []
-    for k in range(observed.K):
-        at_risk = ~np.isnan(z[:, k])
-        m = int(at_risk.sum())
+    for k, (x, z) in enumerate(columns):
+        m = x.shape[0]
         if m < 3:
             raise FitError(
                 f"visit {k + 1} in arm {arm}: only {m} at-risk subjects")
-        X = np.column_stack([np.ones(m), x[at_risk]])
-        coef, _, _, _ = np.linalg.lstsq(X, z[at_risk, k], rcond=None)
-        resid = z[at_risk, k] - X @ coef
-        sd = math.sqrt(float(resid @ resid) / (m - 2))
-        models.append((float(coef[0]), float(coef[1]), sd))
+        a, b, resid = _line(x, z)
+        models.append((a, b, math.sqrt((resid * resid).sum() / (m - 2))))
     return models
 
 
@@ -264,7 +273,14 @@ def _marginal_pi(x_eval: np.ndarray, fit: LogisticFit, z_models,
             + sz * rng.standard_normal((grid.size, _M_PATHS))
         g0, g1, g3 = vf.coef
         acc *= expit(g0 + g1 * grid[:, None] + g3 * zsim)
-    return np.interp(x_eval, grid, acc.mean(axis=1))
+    pi_grid = acc.mean(axis=1)
+    if grid.size == 1:
+        return np.full_like(x_eval, pi_grid[0])
+    u = (x_eval - lo) * ((grid.size - 1) / (hi - lo))
+    i = np.minimum(u.astype(np.intp), grid.size - 2)
+    u -= i  # in place: x_eval can hold every subject
+    u *= np.diff(pi_grid)[i]
+    return np.add(u, pi_grid[i], out=u)
 
 
 def _plugin_point(observed: ObservedData, rng: np.random.Generator) -> float:
@@ -275,13 +291,12 @@ def _plugin_point(observed: ObservedData, rng: np.random.Generator) -> float:
     term1 = exact_mean(observed.y[arm1_adherers])
 
     m0 = fit_outcome_baseline(observed, arm=0)
-    fit = fit_sequential_logistic(observed, arm=1)
-    z_models = _fit_visit_linear(observed, arm=1)
+    fit, z_models = _fit_rows(observed, observed.t == 1, arm=1)
     pi = _marginal_pi(observed.x, fit, z_models, rng)
     total = float(pi.sum())
     if total <= 0.0:
         raise EstimatorError("estimated adherence probabilities sum to zero")
-    term2 = float(pi @ m0.predict(observed.x)) / total
+    term2 = float((pi * m0.predict(observed.x)).sum()) / total
     return term1 - term2
 
 

@@ -169,10 +169,13 @@ def validate(raw: Mapping[str, Any]) -> ModelParams:
         raise ParamError(f"K must be an integer, got {k!r}")
 
     kwargs: dict[str, Any] = {"K": k}
-    for key in _SCALAR_KEYS:
-        kwargs[key] = _require_number(doc, key)
-    for key in _VECTOR_KEYS:
-        kwargs[key] = _require_vector(doc, key, k)
+    try:
+        for key in _SCALAR_KEYS:
+            kwargs[key] = _require_number(doc, key)
+        for key in _VECTOR_KEYS:
+            kwargs[key] = _require_vector(doc, key, k)
+    except OverflowError:  # float() of a JSON integer beyond float range
+        raise ParamError(f"{key} is beyond float range") from None
     return ModelParams(**kwargs)
 
 

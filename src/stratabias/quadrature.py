@@ -118,6 +118,8 @@ def null_stratum_effect(params: ModelParams, nodes: int = 64) -> float:
 
     coarse = _evaluate(params, nodes, nodes)
     fine = _evaluate(params, 2 * nodes, 2 * nodes)
+    if not math.isfinite(coarse + fine):  # numpy's rule fails past ~370 nodes
+        raise QuadratureError(f"non-finite value at {nodes} or {2 * nodes} nodes")
     if abs(fine - coarse) > max(_REL_TOL * max(abs(fine), abs(coarse)),
                                 _ABS_FLOOR):
         raise RefinementError(coarse, fine)

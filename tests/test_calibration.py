@@ -91,6 +91,35 @@ def test_loglik_path_and_stationarity():
         assert np.abs(grad).max() <= 1e-8
 
 
+def test_irls_matches_dense_newton():
+    """The column-vector IRLS against a textbook dense Newton fit."""
+    obs = trial(20_000, seed=50)
+    rows = obs.t == 1  # visit 1: every arm-1 subject is at risk
+    x, z = obs.x[rows], obs.z[rows, 0]
+    r = (~np.isnan(obs.z[rows, 1])).astype(float)
+    beta, se, path, iters, converged = calibration._irls(x, z, r, "visit 1")
+
+    X = np.column_stack([np.ones(x.size), x, z])
+    ref = np.zeros(3)
+    ref_path = []
+    for _ in range(50):
+        eta = X @ ref
+        ref_path.append(np.sum(r * eta) - np.sum(np.logaddexp(0.0, eta)))
+        mu = expit(eta)
+        info = X.T @ (X * (mu * (1.0 - mu))[:, None])
+        grad = X.T @ (r - mu)
+        if np.abs(grad).max() <= 1e-8:
+            break
+        ref = ref + np.linalg.solve(info, grad)
+    else:
+        pytest.fail("the dense reference fit did not converge")
+    assert converged and iters == len(ref_path) - 1 == len(path) - 1
+    np.testing.assert_allclose(beta, ref, rtol=1e-10)
+    np.testing.assert_allclose(se, np.sqrt(np.diag(np.linalg.inv(info))),
+                               rtol=1e-10)
+    np.testing.assert_allclose(path, ref_path, rtol=1e-12)
+
+
 def test_outcome_baseline_satisfies_normal_equations():
     obs = trial(20_000, seed=36)
     m0 = fit_outcome_baseline(obs, arm=0)
@@ -212,6 +241,9 @@ def test_split_plugin_offsets_are_order_free():
     rng = np.random.default_rng(1)
     shuffled = ctrl.subset(rng.permutation(len(ctrl)))
     assert split_calibrate(shuffled, "plugin", R=4, seed=9).offsets \
+        == base.offsets
+    # and thread-free: each round's arithmetic is the same on any worker
+    assert split_calibrate(ctrl, "plugin", R=4, seed=9, threads=2).offsets \
         == base.offsets
 
 

@@ -1,12 +1,15 @@
 """End-to-end command-line behavior: files, verdicts, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stratabias
 from stratabias import __version__
 from stratabias.cli import main
 from stratabias.params import load_bundled
@@ -175,6 +178,7 @@ def test_installed_entry_point():
     ("refinement fails", ["--method", "quadrature", "--nodes", "2"], 1),
     ("malformed JSON", ["--method", "quadrature"], 2),
     ("one node", ["--method", "quadrature", "--nodes", "1"], 2),
+    ("non-finite rule", ["--method", "quadrature", "--nodes", "186"], 2),
 ])
 def test_true_effect_exit_codes(tmp_path, capsys, case, args, code):
     scen = scenario_file(tmp_path)
@@ -207,3 +211,22 @@ def test_calibrate_singular_design_fails_before_splitting(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "singular information matrix" in err
     assert "replicates failed" not in err
+
+
+def test_calibration_is_independent_of_blas_threads(tmp_path):
+    """No sum over subjects goes through BLAS, whose thread count would
+    change the summation order and so the last bits of every offset."""
+    pkg = Path(stratabias.__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(pkg.parent), os.environ.get("PYTHONPATH")])))
+    outs = []
+    for blas in ("1", "2"):
+        outs.append(tmp_path / f"blas{blas}")
+        subprocess.run(
+            [sys.executable, "-m", "stratabias.cli", "calibrate",
+             str(pkg / "scenarios" / "partial_null_gamma2.json"), "--R", "4",
+             "--threads", "1", "--out", str(outs[-1])],
+            env=dict(env, OPENBLAS_NUM_THREADS=blas), check=True,
+            capture_output=True, timeout=600)
+    for name in ("calibration.csv", "fit.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -83,6 +83,9 @@ def test_non_numeric_rejected():
 @pytest.mark.parametrize("key,value", [
     ("mu_x", float("inf")), ("sigma_eta", float("nan")),
     ("beta3", [0.4, float("-inf"), 0.4]),
+    # JSON integers beyond float range: float() raises OverflowError
+    pytest.param("mu_x", 10**400, id="mu_x-int-overflow"),
+    pytest.param("beta3", [0.4, -10**400, 0.4], id="beta3-int-overflow"),
 ])
 def test_non_finite_rejected(key, value, tmp_path, capsys):
     with pytest.raises(ParamError, match=key):

@@ -35,6 +35,13 @@ def test_spec_validation():
             null_stratum_effect(DEMO, nodes=nodes)
 
 
+def test_non_finite_rule_is_an_error():
+    """numpy's hermgauss has NaN weights from 372 nodes up, so the
+    refinement at 2 * 186 nodes must raise, not return NaN."""
+    with pytest.raises(QuadratureError, match="186 or 372 nodes"):
+        null_stratum_effect(DEMO, nodes=186)
+
+
 def test_gauss_hermite_helper_integrates_moments():
     pts, wts = gauss_hermite_normal(1.5, 2.0, 32)
     assert abs(wts.sum() - 1.0) < 1e-14
