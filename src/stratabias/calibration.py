@@ -73,7 +73,8 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class VisitFit:
-    """One visit's logistic fit: logit Pr(adhere) = g0 + g1*x + g3*z."""
+    """One visit's logistic fit: logit Pr(adhere) = g0 + g1*x + g3*z,
+    and the least-squares line z ~ x on the same at-risk subjects."""
 
     visit: int
     coef: tuple[float, float, float]
@@ -83,6 +84,7 @@ class VisitFit:
     loglik_path: tuple[float, ...]
     iterations: int
     converged: bool
+    z_line: tuple[float, float, float]  # (intercept, slope_x, residual_sd)
 
 
 @dataclass(frozen=True)
@@ -191,43 +193,43 @@ def fit_sequential_logistic(observed: ObservedData, arm: int) -> LogisticFit:
     k-1, i.e. everyone whose z_k was recorded; the response is survival
     through visit k (z_{k+1} recorded, or final adherence at the last
     visit).  Within an arm any arm-level intercept shift is absorbed
-    into g0.
+    into g0.  Each visit's ``z_line`` is fitted on the same at-risk
+    subjects.
     """
-    return _fit_rows(observed, observed.t == arm, arm)[0]
-
-
-def _fit_rows(observed: ObservedData, rows: np.ndarray, arm: int):
-    """fit_sequential_logistic and _fit_visit_linear on the masked rows."""
     # integer gathers: several times faster than by a scattered bool mask
-    idx = np.flatnonzero(rows)
+    idx = np.flatnonzero(observed.t == arm)
     x, z, a = observed.x[idx], observed.z.take(idx, axis=0), observed.a[idx]
-    visits, columns = [], []
+    visits = []
     for k in range(observed.K):
+        what = f"visit {k + 1} in arm {arm}"
         at_risk = np.flatnonzero(~np.isnan(z[:, k]))
         m = at_risk.size
         if m < _MIN_AT_RISK:
-            raise FitError(
-                f"visit {k + 1} in arm {arm}: only {m} at-risk subjects "
-                f"(need >= {_MIN_AT_RISK})")
+            raise FitError(f"{what}: only {m} at-risk subjects "
+                           f"(need >= {_MIN_AT_RISK})")
         resp = (~np.isnan(z[:, k + 1][at_risk]) if k + 1 < observed.K
                 else a[at_risk] == 1)
-        columns.append((x[at_risk], z[:, k][at_risk]))
-        beta, se, path, iters, conv = _irls(
-            *columns[-1], resp, f"visit {k + 1} in arm {arm}")
+        xk, zk = x[at_risk], z[:, k][at_risk]
+        beta, se, path, iters, conv = _irls(xk, zk, resp, what)
         visits.append(VisitFit(
             visit=k + 1, coef=tuple(map(float, beta)),
             se=tuple(map(float, se)), n_at_risk=m, loglik=path[-1],
-            loglik_path=path, iterations=iters, converged=conv))
-    return LogisticFit(visits=tuple(visits)), _fit_visit_linear(columns, arm)
+            loglik_path=path, iterations=iters, converged=conv,
+            z_line=_line(xk, zk, f"z line of {what}")))
+    return LogisticFit(visits=tuple(visits))
 
 
-def _line(x: np.ndarray, y: np.ndarray):
-    """Least-squares line y ~ a + b*x in centred closed form: (a, b, resid)."""
+def _line(x: np.ndarray, y: np.ndarray, what: str):
+    """Least-squares line y ~ a + b*x in centred closed form:
+    (a, b, residual SD).  x with no spread raises FitError for ``what``."""
+    if x.min() == x.max():
+        raise FitError(f"{what}: every x equals {float(x[0])!r}, "
+                       "so the slope is undefined")
     xm, ym = float(x.mean()), float(y.mean())
     dx, dy = x - xm, y - ym
     b = float((dx * dy).sum() / (dx * dx).sum())
     dy -= b * dx
-    return ym - b * xm, b, dy
+    return ym - b * xm, b, math.sqrt((dy * dy).sum() / (len(x) - 2))
 
 
 def fit_outcome_baseline(observed: ObservedData, arm: int = 0) -> OutcomeFit:
@@ -236,39 +238,28 @@ def fit_outcome_baseline(observed: ObservedData, arm: int = 0) -> OutcomeFit:
     m = idx.size
     if m < 3:
         raise FitError(f"arm {arm}: only {m} subjects with observed outcome")
-    a, b, _ = _line(observed.x[idx], observed.y[idx])
+    a, b, _ = _line(observed.x[idx], observed.y[idx],
+                    f"outcome line in arm {arm}")
     return OutcomeFit(intercept=a, slope_x=b, n=m)
 
 
-def _fit_visit_linear(columns, arm: int):
-    """Per-visit least-squares models z_k ~ x on the at-risk subjects."""
-    models = []
-    for k, (x, z) in enumerate(columns):
-        m = x.shape[0]
-        if m < 3:
-            raise FitError(
-                f"visit {k + 1} in arm {arm}: only {m} at-risk subjects")
-        a, b, resid = _line(x, z)
-        models.append((a, b, math.sqrt((resid * resid).sum() / (m - 2))))
-    return models
-
-
-def _marginal_pi(x_eval: np.ndarray, fit: LogisticFit, z_models,
+def _marginal_pi(x_eval: np.ndarray, fit: LogisticFit,
                  rng: np.random.Generator) -> np.ndarray:
     """Marginal adherence probability under arm 1, as a function of x.
 
     The sequential model is conditional on each visit's intermediate, so
     the marginal over intermediates is not logistic; it is computed by
-    simulating _M_PATHS intermediate paths from the fitted visit-level
-    linear models and averaging the product of visit probabilities.  The
-    average is evaluated on an x-grid spanning the data and interpolated
-    to the subjects; the function is smooth in x, so grid error is
-    negligible next to the path-simulation noise.
+    simulating _M_PATHS intermediate paths from each visit's ``z_line``
+    and averaging the product of visit probabilities.  The average is
+    evaluated on an x-grid spanning the data and interpolated to the
+    subjects; the function is smooth in x, so grid error is negligible
+    next to the path-simulation noise.
     """
     lo, hi = float(x_eval.min()), float(x_eval.max())
     grid = np.linspace(lo, hi, _N_GRID) if hi > lo else np.array([lo])
     acc = np.ones((grid.size, _M_PATHS))
-    for vf, (az, bz, sz) in zip(fit.visits, z_models):
+    for vf in fit.visits:
+        az, bz, sz = vf.z_line
         zsim = az + bz * grid[:, None] \
             + sz * rng.standard_normal((grid.size, _M_PATHS))
         g0, g1, g3 = vf.coef
@@ -291,8 +282,8 @@ def _plugin_point(observed: ObservedData, rng: np.random.Generator) -> float:
     term1 = exact_mean(observed.y[arm1_adherers])
 
     m0 = fit_outcome_baseline(observed, arm=0)
-    fit, z_models = _fit_rows(observed, observed.t == 1, arm=1)
-    pi = _marginal_pi(observed.x, fit, z_models, rng)
+    fit = fit_sequential_logistic(observed, arm=1)
+    pi = _marginal_pi(observed.x, fit, rng)
     total = float(pi.sum())
     if total <= 0.0:
         raise EstimatorError("estimated adherence probabilities sum to zero")

@@ -26,8 +26,6 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .calibration import (CalibrationError, EstimatorError, FitError,
                           fit_sequential_logistic, split_calibrate,
@@ -38,6 +36,8 @@ from .params import (ScenarioConfig, is_outcome_null, load_bundled,
 from .quadrature import RefinementError, null_stratum_effect
 from .strata import (S_BOTH, S_TREATED, EffectEstimate, oracle_effect,
                      write_effects_csv)
+
+Run = tuple[list[Path], int]  # a subcommand's (outputs, failed claims)
 
 _MC_AGREEMENT_SIGMAS = 3.5
 _CALIBRATION_SIGMAS = 5.0
@@ -59,32 +59,7 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out: Path, command: str, label: str, seed,
-                    outputs: list[Path], t0: float) -> None:
-    manifest = {
-        "scenario_label": label,
-        "command": command,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "seed": seed,
-        "version": __version__,
-        "outputs": [p.name for p in outputs],
-        "duration_seconds": round(time.monotonic() - t0, 3),
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-
-
-def cmd_simulate(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args)
-    out = _out_dir(args)
+def cmd_simulate(args, cfg: ScenarioConfig, out: Path) -> Run:
     data = generate(cfg)
     obs = observe(data, keep_y_after_dropout=args.keep_y)
     subjects_path = out / "subjects.csv"
@@ -96,17 +71,10 @@ def cmd_simulate(args) -> int:
     print(f"adherence: arm 0 {data.a[:, 0].mean():.4f}, "
           f"arm 1 {data.a[:, 1].mean():.4f} "
           f"(observed arms: {obs.a.mean():.4f})")
-    for p in (subjects_path, observed_path):
-        print(f"wrote {p}")
-    _write_manifest(out, "simulate", cfg.label, cfg.seed,
-                    [subjects_path, observed_path], t0)
-    return 0
+    return [subjects_path, observed_path], 0
 
 
-def cmd_true_effect(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args)
-    out = _out_dir(args)
+def cmd_true_effect(args, cfg: ScenarioConfig, out: Path) -> Run:
     quad = None
     if args.method in ("quadrature", "both"):
         quad = null_stratum_effect(cfg.params, args.nodes)
@@ -138,16 +106,10 @@ def cmd_true_effect(args) -> int:
 
     effects_path = out / "effects.csv"
     write_effects_csv(rows, effects_path)
-    print(f"wrote {effects_path}")
-    _write_manifest(out, "true-effect", cfg.label, cfg.seed,
-                    [effects_path], t0)
-    return 0
+    return [effects_path], 0
 
 
-def cmd_calibrate(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args)
-    out = _out_dir(args)
+def cmd_calibrate(args, cfg: ScenarioConfig, out: Path) -> Run:
     data = generate(cfg)
     obs = observe(data, keep_y_after_dropout=args.keep_y)
     control = obs.subset(obs.t == 0)
@@ -172,11 +134,7 @@ def cmd_calibrate(args) -> int:
     write_calibration_csv([(cfg.label, cal)], calibration_path)
     fit_path = out / "fit.csv"
     write_fit_csv(fit, fit_path)
-    for p in (calibration_path, fit_path):
-        print(f"wrote {p}")
-    _write_manifest(out, "calibrate", cfg.label, cfg.seed,
-                    [calibration_path, fit_path], t0)
-    return 0
+    return [calibration_path, fit_path], 0
 
 
 def _demo_claims(seed_override, threads):
@@ -244,9 +202,7 @@ def _demo_claims(seed_override, threads):
     return claims, effect_rows, calibration_rows
 
 
-def cmd_paper_demo(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_paper_demo(args, cfg: None, out: Path) -> Run:
     claims, effect_rows, calibration_rows = _demo_claims(
         args.seed, args.threads)
 
@@ -266,14 +222,7 @@ def cmd_paper_demo(args) -> int:
     outputs[0].write_text("\n".join(lines) + "\n")
     write_effects_csv(effect_rows, outputs[1])
     write_calibration_csv(calibration_rows, outputs[2])
-    for p in outputs:
-        print(f"wrote {p}")
-    _write_manifest(out, "paper-demo", "bundled-suite", args.seed,
-                    outputs, t0)
-    if n_pass < len(claims):
-        print(f"{len(claims) - n_pass} claim(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    return outputs, len(claims) - n_pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -341,9 +290,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, then record it in ``manifest.json``.  The
+    scenario loads before ``--out`` is made, so a scenario that fails to
+    load leaves no directory.  Failed claims exit 1 after the manifest."""
     args = _build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        cfg = _load_config(args) if "scenario" in args else None
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs, n_failed = args.func(args, cfg, out)
+        for p in outputs:
+            print(f"wrote {p}")
+        manifest = {
+            "scenario_label": cfg.label if cfg else "bundled-suite",
+            "command": args.command,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "seed": cfg.seed if cfg else args.seed,
+            "version": __version__,
+            "outputs": [p.name for p in outputs],
+            "duration_seconds": round(time.monotonic() - t0, 3),
+        }
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
     except (RefinementError, CalibrationError, FitError, EstimatorError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -351,6 +321,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ParamError, QuadratureError, bad JSON, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if n_failed:
+        print(f"{n_failed} claim(s) failed", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

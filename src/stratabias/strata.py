@@ -89,6 +89,16 @@ def members(data: SubjectData, label: StratumLabel) -> np.ndarray:
     return label.matches(data.a[:, 0], data.a[:, 1])
 
 
+def _nonempty(data: SubjectData,
+              label: StratumLabel) -> tuple[np.ndarray, int]:
+    """(membership mask, member count); an empty stratum raises."""
+    mask = members(data, label)
+    m = int(mask.sum())
+    if m == 0:
+        raise EmptyStratumError(f"empty stratum {label.code}")
+    return mask, m
+
+
 def oracle_effect(data: SubjectData, label: StratumLabel) -> EffectEstimate:
     """Mean and SE of y(1) - y(0) over the stratum's members.
 
@@ -96,10 +106,7 @@ def oracle_effect(data: SubjectData, label: StratumLabel) -> EffectEstimate:
     differences over sqrt of member count); both potential outcomes are
     known per subject, so no two-sample variance enters.
     """
-    mask = members(data, label)
-    m = int(mask.sum())
-    if m == 0:
-        raise EmptyStratumError(f"empty stratum {label.code}")
+    mask, m = _nonempty(data, label)
     d = data.diff[mask]
     d = d[np.argsort(data.ids[mask])]  # canonical order: permutation-proof SE
     value = exact_mean(d)
@@ -121,10 +128,7 @@ def tower_check(data: SubjectData, label: StratumLabel = S_TREATED,
     """
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    mask = members(data, label)
-    m = int(mask.sum())
-    if m == 0:
-        raise EmptyStratumError(f"empty stratum {label.code}")
+    mask, m = _nonempty(data, label)
     if n_bins > m:
         raise ValueError(f"n_bins={n_bins} exceeds stratum size {m}")
 
@@ -144,10 +148,7 @@ def bias_decomposition(data: SubjectData) -> BiasReport:
     effect minus the unconditional mean contrast, an arithmetic identity
     on any dataset.
     """
-    mask = members(data, S_TREATED)
-    m = int(mask.sum())
-    if m == 0:
-        raise EmptyStratumError("empty stratum S_*+")
+    mask, m = _nonempty(data, S_TREATED)
     return BiasReport(
         mean_y1_given_a1=exact_mean(data.y[mask, 1]),
         mean_y0_given_a1=exact_mean(data.y[mask, 0]),

@@ -12,6 +12,7 @@ existed; they pin the demonstration scenarios' stratum effects.
 
 import dataclasses
 import itertools
+import json
 import math
 import time
 
@@ -208,10 +209,17 @@ def test_c11_demo_reruns_bitwise_and_thread_free(tmp_path):
         cli_main(["paper-demo", "--out", str(outs[1]), "--threads", "1"]),
         cli_main(["paper-demo", "--out", str(outs[2]), "--threads", "8"]),
     ]
+    names = ["report.md", "effects.csv", "calibration.csv"]
     identical = all(
         (outs[0] / name).read_bytes() == (other / name).read_bytes()
-        for name in ("report.md", "effects.csv", "calibration.csv")
-        for other in outs[1:])
+        for name in names for other in outs[1:])
+    recorded = all(
+        {k: m[k] for k in ("command", "scenario_label", "seed", "outputs")}
+        == {"command": "paper-demo", "scenario_label": "bundled-suite",
+            "seed": None, "outputs": names}
+        for m in (json.loads((out / "manifest.json").read_text())
+                  for out in outs))
     _report(11, f"exit codes {codes}; rerun and --threads 8 outputs "
-                f"byte-identical: {identical}",
-            codes == [0, 0, 0] and identical)
+                f"byte-identical: {identical}; manifests record "
+                f"paper-demo: {recorded}",
+            codes == [0, 0, 0] and identical and recorded)

@@ -16,7 +16,7 @@ from stratabias.calibration import (ESTIMATORS, CalibrationError,
                                     fit_sequential_logistic, split_calibrate,
                                     write_calibration_csv, write_fit_csv)
 from stratabias.cli import main as cli_main
-from stratabias.datagen import generate, observe
+from stratabias.datagen import ObservedData, generate, observe
 from stratabias.params import ScenarioConfig, load_bundled
 from stratabias.quadrature import null_stratum_effect
 from stratabias.strata import exact_mean
@@ -131,6 +131,30 @@ def test_outcome_baseline_satisfies_normal_equations():
         np.abs(obs.x[rows]).max()
     assert m0.n == rows.sum()
     assert m0.predict(np.array([0.0]))[0] == m0.intercept
+
+
+@pytest.mark.parametrize("x0", [0.5, 0.1])
+def test_outcome_baseline_without_x_spread_is_a_fit_error(x0):
+    """Equal x leave the slope undefined: a FitError, not a NaN line."""
+    n = 10
+    obs = ObservedData(ids=np.arange(n), x=np.full(n, x0),
+                       t=np.zeros(n, dtype=np.int8), z=np.zeros((n, 1)),
+                       a=np.ones(n, dtype=np.int8),
+                       y=np.arange(n, dtype=float), K=1)
+    with pytest.raises(FitError, match="arm 0"):
+        fit_outcome_baseline(obs, arm=0)
+
+
+def test_visit_z_lines_are_least_squares_on_the_at_risk_set():
+    obs = trial(20_000, seed=51)
+    rows = obs.t == 1
+    x, z = obs.x[rows], obs.z[rows]
+    for k, vf in enumerate(fit_sequential_logistic(obs, arm=1).visits):
+        at_risk = ~np.isnan(z[:, k])
+        X = np.column_stack([np.ones(at_risk.sum()), x[at_risk]])
+        coef, ss, _, _ = np.linalg.lstsq(X, z[at_risk, k], rcond=None)
+        sd = math.sqrt(ss[0] / (vf.n_at_risk - 2))
+        np.testing.assert_allclose(vf.z_line, (*coef, sd), rtol=1e-9)
 
 
 # ----------------------------------------------------------- estimators

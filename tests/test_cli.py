@@ -27,12 +27,20 @@ def scenario_file(tmp_path, name="scenario.json", **over):
     return str(path)
 
 
+def module_env(**extra):
+    """Environment in which ``python -m stratabias.cli`` imports this
+    checkout's package, installed or not."""
+    src = str(Path(stratabias.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def read_manifest(out_dir):
     with open(out_dir / "manifest.json") as fh:
         return json.load(fh)
 
 
-def test_simulate_writes_tables_and_manifest(tmp_path, capsys):
+def test_simulate_writes_tables(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["simulate", scenario_file(tmp_path), "--out", str(out)])
     assert rc == 0
@@ -45,13 +53,27 @@ def test_simulate_writes_tables_and_manifest(tmp_path, capsys):
     observed = (out / "observed.csv").read_text().splitlines()
     assert observed[0] == "id,x,t,z_1,z_2,z_3,a,y"
 
+
+@pytest.mark.parametrize("command, extra, outputs", [
+    ("simulate", [], ["subjects.csv", "observed.csv"]),
+    ("true-effect", [], ["effects.csv"]),
+    ("calibrate", ["--R", "4"], ["calibration.csv", "fit.csv"]),
+])
+def test_manifest_records_the_run(tmp_path, capsys, command, extra, outputs):
+    out = tmp_path / "run"
+    rc = main([command, scenario_file(tmp_path, n=6_000), *extra,
+               "--out", str(out)])
+    assert rc == 0
     manifest = read_manifest(out)
     assert set(manifest) == MANIFEST_KEYS
-    assert manifest["command"] == "simulate"
+    assert manifest["command"] == command
     assert manifest["scenario_label"] == "cli-test"
     assert manifest["seed"] == 777
     assert manifest["version"] == __version__
-    assert manifest["outputs"] == ["subjects.csv", "observed.csv"]
+    assert manifest["outputs"] == outputs
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-len(outputs):] == [f"wrote {out / name}"
+                                       for name in outputs]
 
 
 def test_bad_parameter_is_a_config_error(tmp_path, capsys):
@@ -59,6 +81,14 @@ def test_bad_parameter_is_a_config_error(tmp_path, capsys):
                "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "sigma_x" in capsys.readouterr().err
+
+
+def test_config_error_creates_no_directory(tmp_path, capsys):
+    out = tmp_path / "never" / "made"
+    rc = main(["simulate", scenario_file(tmp_path, sigma_x=-1.0),
+               "--out", str(out)])
+    assert rc == 2
+    assert not (tmp_path / "never").exists()
 
 
 def test_missing_scenario_file_is_io_failure(tmp_path, capsys):
@@ -167,8 +197,10 @@ def test_installed_entry_point():
                          text=True, check=True)
     assert __version__ in got.stdout
 
+
+def test_module_help_lists_subcommands():
     helptext = subprocess.run(
-        [sys.executable, "-m", "stratabias.cli", "--help"],
+        [sys.executable, "-m", "stratabias.cli", "--help"], env=module_env(),
         capture_output=True, text=True, check=True).stdout
     for sub in ("simulate", "true-effect", "calibrate", "paper-demo"):
         assert sub in helptext
@@ -217,8 +249,6 @@ def test_calibration_is_independent_of_blas_threads(tmp_path):
     """No sum over subjects goes through BLAS, whose thread count would
     change the summation order and so the last bits of every offset."""
     pkg = Path(stratabias.__file__).parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(pkg.parent), os.environ.get("PYTHONPATH")])))
     outs = []
     for blas in ("1", "2"):
         outs.append(tmp_path / f"blas{blas}")
@@ -226,7 +256,7 @@ def test_calibration_is_independent_of_blas_threads(tmp_path):
             [sys.executable, "-m", "stratabias.cli", "calibrate",
              str(pkg / "scenarios" / "partial_null_gamma2.json"), "--R", "4",
              "--threads", "1", "--out", str(outs[-1])],
-            env=dict(env, OPENBLAS_NUM_THREADS=blas), check=True,
+            env=module_env(OPENBLAS_NUM_THREADS=blas), check=True,
             capture_output=True, timeout=600)
     for name in ("calibration.csv", "fit.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

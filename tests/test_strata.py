@@ -62,6 +62,8 @@ def test_empty_stratum_raises():
     data = tiny_data(a0=[0, 0], a1=[1, 1])
     with pytest.raises(EmptyStratumError, match="S_\\+\\+"):
         oracle_effect(data, S_BOTH)
+    with pytest.raises(EmptyStratumError, match="S_\\*\\+"):
+        bias_decomposition(tiny_data(a0=[1, 1], a1=[0, 0]))
 
 
 def test_permutation_invariance_bitwise():
