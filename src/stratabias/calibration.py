@@ -253,10 +253,12 @@ def _marginal_pi(x_eval: np.ndarray, fit: LogisticFit,
     and averaging the product of visit probabilities.  The average is
     evaluated on an x-grid spanning the data and interpolated to the
     subjects; the function is smooth in x, so grid error is negligible
-    next to the path-simulation noise.
+    next to the path-simulation noise.  ``x_eval`` always has spread:
+    ``_plugin_point`` fits the arm-0 outcome line on a subset of it first,
+    and ``_line`` raises FitError when every x is equal.
     """
     lo, hi = float(x_eval.min()), float(x_eval.max())
-    grid = np.linspace(lo, hi, _N_GRID) if hi > lo else np.array([lo])
+    grid = np.linspace(lo, hi, _N_GRID)
     acc = np.ones((grid.size, _M_PATHS))
     for vf in fit.visits:
         az, bz, sz = vf.z_line
@@ -265,8 +267,6 @@ def _marginal_pi(x_eval: np.ndarray, fit: LogisticFit,
         g0, g1, g3 = vf.coef
         acc *= expit(g0 + g1 * grid[:, None] + g3 * zsim)
     pi_grid = acc.mean(axis=1)
-    if grid.size == 1:
-        return np.full_like(x_eval, pi_grid[0])
     u = (x_eval - lo) * ((grid.size - 1) / (hi - lo))
     i = np.minimum(u.astype(np.intp), grid.size - 2)
     u -= i  # in place: x_eval can hold every subject
@@ -274,12 +274,17 @@ def _marginal_pi(x_eval: np.ndarray, fit: LogisticFit,
     return np.add(u, pi_grid[i], out=u)
 
 
+def _adherer_outcomes(observed: ObservedData, arm: int) -> np.ndarray:
+    """Observed outcomes of ``arm``'s adherers; none is an EstimatorError."""
+    y = observed.y[(observed.t == arm) & (observed.a == 1)
+                   & ~np.isnan(observed.y)]
+    if y.size == 0:
+        raise EstimatorError(f"no adherers with observed outcome in arm {arm}")
+    return y
+
+
 def _plugin_point(observed: ObservedData, rng: np.random.Generator) -> float:
-    arm1_adherers = (observed.t == 1) & (observed.a == 1) \
-        & ~np.isnan(observed.y)
-    if not arm1_adherers.any():
-        raise EstimatorError("no adherers with observed outcome in arm 1")
-    term1 = exact_mean(observed.y[arm1_adherers])
+    term1 = exact_mean(_adherer_outcomes(observed, 1))
 
     m0 = fit_outcome_baseline(observed, arm=0)
     fit = fit_sequential_logistic(observed, arm=1)
@@ -331,15 +336,9 @@ def estimate_naive(observed: ObservedData) -> EffectEstimate:
     """
     sides = []
     for arm in (0, 1):
-        mask = (observed.t == arm) & (observed.a == 1) \
-            & ~np.isnan(observed.y)
-        m = int(mask.sum())
-        if m == 0:
-            raise EstimatorError(
-                f"no adherers with observed outcome in arm {arm}")
-        y = observed.y[mask]
-        sides.append((exact_mean(y), float(np.var(y, ddof=1)) if m > 1
-                      else 0.0, m))
+        y = _adherer_outcomes(observed, arm)
+        sides.append((exact_mean(y), float(np.var(y, ddof=1)) if y.size > 1
+                      else 0.0, y.size))
     (mean0, var0, n0), (mean1, var1, n1) = sides
     return EffectEstimate(value=mean1 - mean0,
                           se=math.sqrt(var1 / n1 + var0 / n0),

@@ -37,7 +37,7 @@ from .quadrature import RefinementError, null_stratum_effect
 from .strata import (S_BOTH, S_TREATED, EffectEstimate, oracle_effect,
                      write_effects_csv)
 
-Run = tuple[list[Path], int]  # a subcommand's (outputs, failed claims)
+Run = tuple[dict, int]  # a subcommand's ({file name: writer}, failed claims)
 
 _MC_AGREEMENT_SIGMAS = 3.5
 _CALIBRATION_SIGMAS = 5.0
@@ -59,90 +59,95 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
-def cmd_simulate(args, cfg: ScenarioConfig, out: Path) -> Run:
+def _oracles(cfg: ScenarioConfig, method: str = "both", **quad_options):
+    """(quad, both, treated, agreement): the closed form, the S_++ and S_*+
+    Monte Carlo effects and their ``_gap_check``, None where ``method``
+    skips one.  The closed form runs before any subject is drawn."""
+    quad = (null_stratum_effect(cfg.params, **quad_options)
+            if method != "mc" else None)
+    data = generate(cfg)
+    both = oracle_effect(data, S_BOTH)
+    treated = oracle_effect(data, S_TREATED) if method != "quadrature" else None
+    if quad is None or treated is None:
+        return quad, both, treated, None
+    return quad, both, treated, _gap_check(quad, treated.value, treated.se,
+                                           _MC_AGREEMENT_SIGMAS)
+
+
+def _calibration(cfg: ScenarioConfig, obs, estimator: str, R: int,
+                 threads: int):
+    """(fit, cal, truth): the arm-1 fit, the control arm's split
+    calibration and, on an outcome-null scenario, the closed form and the
+    offset-vs-truth ``_gap_check`` as (quad, gap, bound, match)."""
+    # fitted before the splits: a singular arm-1 design (sigma_eta = 0)
+    # fails every split the same way, so it is reported before any runs
+    fit = fit_sequential_logistic(obs, arm=1)
+    cal = split_calibrate(obs.subset(obs.t == 0), estimator=estimator, R=R,
+                          seed=cfg.seed, threads=threads)
+    if not is_outcome_null(cfg.params):
+        return fit, cal, None
+    quad = null_stratum_effect(cfg.params)
+    return fit, cal, (quad, *_gap_check(cal.mean_offset, quad, cal.se_offset,
+                                        _CALIBRATION_SIGMAS))
+
+
+def cmd_simulate(args, cfg: ScenarioConfig) -> Run:
     data = generate(cfg)
     obs = observe(data, keep_y_after_dropout=args.keep_y)
-    subjects_path = out / "subjects.csv"
-    observed_path = out / "observed.csv"
-    write_subjects_csv(data, subjects_path)
-    write_observed_csv(obs, observed_path)
     print(f"scenario '{cfg.label}': n={cfg.n}, K={cfg.params.K}, "
           f"seed={cfg.seed}")
     print(f"adherence: arm 0 {data.a[:, 0].mean():.4f}, "
           f"arm 1 {data.a[:, 1].mean():.4f} "
           f"(observed arms: {obs.a.mean():.4f})")
-    return [subjects_path, observed_path], 0
+    return {"subjects.csv": lambda p: write_subjects_csv(data, p),
+            "observed.csv": lambda p: write_observed_csv(obs, p)}, 0
 
 
-def cmd_true_effect(args, cfg: ScenarioConfig, out: Path) -> Run:
-    quad = None
-    if args.method in ("quadrature", "both"):
-        quad = null_stratum_effect(cfg.params, args.nodes)
-
+def cmd_true_effect(args, cfg: ScenarioConfig) -> Run:
+    quad, both, mc, agreement = _oracles(cfg, args.method, nodes=args.nodes)
     print(f"scenario '{cfg.label}': n={cfg.n}, seed={cfg.seed}")
-    data = generate(cfg)
-    both = oracle_effect(data, S_BOTH)
-    rows = [(cfg.label, S_BOTH.code, both)]
-    print(f"S_++ effect (MC, {both.n_members} members): "
-          f"{both.value:.4f} +/- {both.se:.4f}")
-
-    mc = None
-    if args.method in ("mc", "both"):
-        mc = oracle_effect(data, S_TREATED)
-        rows.append((cfg.label, S_TREATED.code, mc))
-        print(f"S_*+ effect (MC, {mc.n_members} members): "
-              f"{mc.value:.4f} +/- {mc.se:.4f}")
+    rows = []
+    for stratum, est in ((S_BOTH, both), (S_TREATED, mc)):
+        if est is not None:
+            rows.append((cfg.label, stratum.code, est))
+            print(f"{stratum.code} effect (MC, {est.n_members} members): "
+                  f"{est.value:.4f} +/- {est.se:.4f}")
     if quad is not None:
         rows.append((cfg.label, S_TREATED.code + "[quadrature]",
                      EffectEstimate(value=quad, se=0.0, n_members=0,
                                     stratum=S_TREATED)))
         print(f"S_*+ effect (quadrature): {quad:.4f}")
-    if quad is not None and mc is not None:
-        gap, bound, agree = _gap_check(quad, mc.value, mc.se,
-                                       _MC_AGREEMENT_SIGMAS)
+    if agreement is not None:
+        gap, bound, agree = agreement
         verdict = "AGREE" if agree else "DISAGREE"
         print(f"agreement: |quadrature - MC| = {gap:.4f} vs "
               f"{_MC_AGREEMENT_SIGMAS}*SE = {bound:.4f} -> {verdict}")
-
-    effects_path = out / "effects.csv"
-    write_effects_csv(rows, effects_path)
-    return [effects_path], 0
+    return {"effects.csv": lambda p: write_effects_csv(rows, p)}, 0
 
 
-def cmd_calibrate(args, cfg: ScenarioConfig, out: Path) -> Run:
-    data = generate(cfg)
-    obs = observe(data, keep_y_after_dropout=args.keep_y)
-    control = obs.subset(obs.t == 0)
+def cmd_calibrate(args, cfg: ScenarioConfig) -> Run:
+    obs = observe(generate(cfg), keep_y_after_dropout=args.keep_y)
     print(f"scenario '{cfg.label}': estimator={args.estimator}, "
-          f"R={args.R}, control n={len(control)}")
-    # fitted before the splits: a singular arm-1 design (sigma_eta = 0)
-    # fails every split the same way, so it is reported before any runs
-    fit = fit_sequential_logistic(obs, arm=1)
-    cal = split_calibrate(control, estimator=args.estimator, R=args.R,
-                          seed=cfg.seed, threads=args.threads)
+          f"R={args.R}, control n={int((obs.t == 0).sum())}")
+    fit, cal, truth = _calibration(cfg, obs, args.estimator, args.R,
+                                   args.threads)
     print(f"mean offset: {cal.mean_offset:.4f} +/- {cal.se_offset:.4f} "
           f"({cal.n_failed} failed splits)")
-    if is_outcome_null(cfg.params):
-        quad = null_stratum_effect(cfg.params)
-        gap, bound, match = _gap_check(cal.mean_offset, quad, cal.se_offset,
-                                       _CALIBRATION_SIGMAS)
+    if truth is not None:
+        quad, gap, bound, match = truth
         verdict = "MATCH" if match else "MISMATCH"
         print(f"true stratum effect (quadrature): {quad:.4f}")
         print(f"verdict: |offset - true| = {gap:.4f} vs "
               f"{_CALIBRATION_SIGMAS}*SE = {bound:.4f} -> {verdict}")
-    calibration_path = out / "calibration.csv"
-    write_calibration_csv([(cfg.label, cal)], calibration_path)
-    fit_path = out / "fit.csv"
-    write_fit_csv(fit, fit_path)
-    return [calibration_path, fit_path], 0
+    return {"calibration.csv":
+            lambda p: write_calibration_csv([(cfg.label, cal)], p),
+            "fit.csv": lambda p: write_fit_csv(fit, p)}, 0
 
 
 def _demo_claims(seed_override, threads):
-    """Run the bundled suite; yields (claim, detail, passed) triples
-    plus collected effect and calibration rows for the CSV reports."""
+    """Run the bundled suite: (claims, effect rows, calibration rows),
+    each claim a (claim, detail, passed) triple."""
     claims = []
-    effect_rows = []
-    calibration_rows = []
 
     def load(name):
         cfg = load_bundled(name)
@@ -150,59 +155,48 @@ def _demo_claims(seed_override, threads):
             cfg = replace(cfg, seed=seed_override + len(claims))
         return cfg
 
+    def near_zero(est):
+        return _gap_check(est.value, 0.0, est.se, _MC_AGREEMENT_SIGMAS)[2]
+
     # 1-2: under a full null the treated-adherent stratum effect is
     # nonzero while the always-adherent stratum effect is zero.
     cfg = load("full_null_demo")
-    quad = null_stratum_effect(cfg.params)
-    data = generate(cfg)
-    treated = oracle_effect(data, S_TREATED)
-    both = oracle_effect(data, S_BOTH)
-    effect_rows += [(cfg.label, S_TREATED.code, treated),
-                    (cfg.label, S_BOTH.code, both)]
-    _, bound, agree = _gap_check(quad, treated.value, treated.se,
-                                 _MC_AGREEMENT_SIGMAS)
-    ok = quad > bound and agree
-    claims.append((
-        "treated-adherent stratum effect is nonzero under the full null",
-        f"quadrature {quad:.4f}, MC {treated.value:.4f} +/- "
-        f"{treated.se:.4f}", ok))
-    claims.append((
-        "always-adherent stratum effect is zero under the full null",
-        f"MC {both.value:.4f} +/- {both.se:.4f}",
-        _gap_check(both.value, 0.0, both.se, _MC_AGREEMENT_SIGMAS)[2]))
+    quad, both, treated, (_, bound, agree) = _oracles(cfg)
+    effect_rows = [(cfg.label, S_TREATED.code, treated),
+                   (cfg.label, S_BOTH.code, both)]
+    claims += [
+        ("treated-adherent stratum effect is nonzero under the full null",
+         f"quadrature {quad:.4f}, MC {treated.value:.4f} +/- "
+         f"{treated.se:.4f}", quad > bound and agree),
+        ("always-adherent stratum effect is zero under the full null",
+         f"MC {both.value:.4f} +/- {both.se:.4f}", near_zero(both))]
 
     # 3-4: either zero loading wipes the effect out.
     for name, what in (("zero_beta3", "outcome loading beta3 = 0"),
                        ("zero_gamma3", "adherence loading gamma3 = 0")):
         cfg = load(name)
-        quad = null_stratum_effect(cfg.params)
-        est = oracle_effect(generate(cfg), S_TREATED)
+        quad, _, est, _ = _oracles(cfg)
         effect_rows.append((cfg.label, S_TREATED.code, est))
-        ok = (abs(quad) <= 1e-12
-              and _gap_check(est.value, 0.0, est.se, _MC_AGREEMENT_SIGMAS)[2])
         claims.append((
             f"stratum effect vanishes when {what}",
             f"quadrature {quad:.2e}, MC {est.value:.4f} +/- {est.se:.4f}",
-            ok))
+            abs(quad) <= 1e-12 and near_zero(est)))
 
     # 5: control-split calibration misses the truth under a partial null.
     cfg = load("partial_null_gamma2")
-    quad = null_stratum_effect(cfg.params)
     obs = observe(generate(cfg), keep_y_after_dropout=True)
-    cal = split_calibrate(obs.subset(obs.t == 0), estimator="plugin",
-                          R=200, seed=cfg.seed, threads=threads)
-    calibration_rows.append((cfg.label, cal))
+    _, cal, (quad, _, _, match) = _calibration(cfg, obs, "plugin", 200,
+                                                threads)
     claims.append((
         "control-split calibration misses the stratum effect under a "
         "partial null (gamma2 != 0)",
         f"offset {cal.mean_offset:.4f} +/- {cal.se_offset:.4f} vs true "
-        f"{quad:.4f}", not _gap_check(cal.mean_offset, quad, cal.se_offset,
-                                      _CALIBRATION_SIGMAS)[2]))
+        f"{quad:.4f}", not match))
 
-    return claims, effect_rows, calibration_rows
+    return claims, effect_rows, [(cfg.label, cal)]
 
 
-def cmd_paper_demo(args, cfg: None, out: Path) -> Run:
+def cmd_paper_demo(args, cfg: None) -> Run:
     claims, effect_rows, calibration_rows = _demo_claims(
         args.seed, args.threads)
 
@@ -216,13 +210,10 @@ def cmd_paper_demo(args, cfg: None, out: Path) -> Run:
         lines.append(f"| {i} | {claim} | {detail} | {verdict} |")
     n_pass = sum(ok for _, _, ok in claims)
     lines += ["", f"{n_pass}/{len(claims)} claims passed."]
-
-    outputs = [out / "report.md", out / "effects.csv",
-               out / "calibration.csv"]
-    outputs[0].write_text("\n".join(lines) + "\n")
-    write_effects_csv(effect_rows, outputs[1])
-    write_calibration_csv(calibration_rows, outputs[2])
-    return outputs, len(claims) - n_pass
+    return {"report.md": lambda p: p.write_text("\n".join(lines) + "\n"),
+            "effects.csv": lambda p: write_effects_csv(effect_rows, p),
+            "calibration.csv": lambda p: write_calibration_csv(
+                calibration_rows, p)}, len(claims) - n_pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,25 +281,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand, then record it in ``manifest.json``.  The
-    scenario loads before ``--out`` is made, so a scenario that fails to
-    load leaves no directory.  Failed claims exit 1 after the manifest."""
+    """Run one subcommand, then write its outputs and ``manifest.json``
+    into ``--out``, made only now so that a failed run leaves no
+    directory.  Failed claims exit 1 after the manifest."""
     args = _build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
         cfg = _load_config(args) if "scenario" in args else None
+        outputs, n_failed = args.func(args, cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        outputs, n_failed = args.func(args, cfg, out)
-        for p in outputs:
-            print(f"wrote {p}")
+        for name, write in outputs.items():
+            write(out / name)
+            print(f"wrote {out / name}")
         manifest = {
             "scenario_label": cfg.label if cfg else "bundled-suite",
             "command": args.command,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "seed": cfg.seed if cfg else args.seed,
             "version": __version__,
-            "outputs": [p.name for p in outputs],
+            "outputs": list(outputs),
             "duration_seconds": round(time.monotonic() - t0, 3),
         }
         with open(out / "manifest.json", "w") as fh:

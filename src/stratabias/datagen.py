@@ -90,26 +90,29 @@ class SubjectData:
 class ObservedData:
     """Columnar observed view: one arm per subject, NaN marks missing."""
 
-    def __init__(self, ids, x, t, z, a, y, K: int):
+    def __init__(self, ids, x, t, z, a, y):
         self.ids = ids
         self.x = x
         self.t = t
         self.z = z  # (n, K), NaN where the visit never happened
         self.a = a
         self.y = y  # (n,), NaN where unobserved
-        self.K = K
 
     def __len__(self) -> int:
         return self.ids.shape[0]
 
+    @property
+    def K(self) -> int:  # visits, from the shape of z
+        return self.z.shape[1]
+
     def subset(self, mask: np.ndarray) -> "ObservedData":
         return ObservedData(self.ids[mask], self.x[mask], self.t[mask],
-                            self.z[mask], self.a[mask], self.y[mask], self.K)
+                            self.z[mask], self.a[mask], self.y[mask])
 
     def relabeled(self, t_new: np.ndarray) -> "ObservedData":
         """View with a replaced arm column; every other array is shared."""
         return ObservedData(self.ids, self.x, t_new.astype(self.t.dtype),
-                            self.z, self.a, self.y, self.K)
+                            self.z, self.a, self.y)
 
 
 def draws_per_subject(K: int) -> int:
@@ -192,7 +195,7 @@ def observe(data: SubjectData, keep_y_after_dropout: bool = False) -> ObservedDa
     if not keep_y_after_dropout:
         y_obs[a_obs == 0] = np.nan
     return ObservedData(data.ids.copy(), data.x.copy(), data.t.copy(),
-                        z_obs, a_obs, y_obs, K)
+                        z_obs, a_obs, y_obs)
 
 
 def write_table(path: str | Path, columns: list[tuple[str, object]]) -> None:

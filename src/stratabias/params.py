@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -25,12 +25,41 @@ class ParamError(ValueError):
     """A scenario document failed validation; the message names the key."""
 
 
-_VECTOR_KEYS = ("alpha0", "alpha1", "alpha2", "beta3", "gamma3")
+_VECTOR = "tuple[float, ...]"  # the declared type of a per-visit field
+# declared field type -> (accepted Python types, their name in messages)
+_TYPES = {"int": (int, "an integer"), "str": (str, "a string"),
+          "float": ((int, float), "a number"),
+          _VECTOR: ((list, tuple), "an array")}
 
-_SCALAR_KEYS = (
-    "mu_x", "sigma_x", "beta0", "beta1", "beta2",
-    "sigma_eta", "sigma_eps", "gamma0", "gamma1", "gamma2", "p_treat",
-)
+
+def _coerce(name: str, kind: str, value: Any) -> Any:
+    """``value`` checked against its field's declared type ``kind`` and
+    converted: a number to a finite float, an array to a tuple of them.
+    The one owner of the type, float-range and finiteness messages."""
+    if kind not in _TYPES:
+        return value  # a nested dataclass, checked by its own __post_init__
+    want, noun = _TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, want):
+        raise ParamError(f"{name} must be {noun}, got {value!r}")
+    if kind == _VECTOR:
+        return tuple(_coerce(f"{name}[{i}]", "float", v)
+                     for i, v in enumerate(value))
+    if kind != "float":
+        return value
+    try:
+        value = float(value)
+    except OverflowError:  # float() of a JSON integer beyond float range
+        raise ParamError(f"{name} is beyond float range") from None
+    if not math.isfinite(value):
+        raise ParamError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _coerce_fields(obj) -> None:
+    """Coerce every field of a frozen dataclass by its declared type."""
+    for f in fields(obj):
+        object.__setattr__(obj, f.name,
+                           _coerce(f.name, f.type, getattr(obj, f.name)))
 
 
 @dataclass(frozen=True)
@@ -76,11 +105,7 @@ class ModelParams:
     p_treat: float = 0.5
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            vals = v if f.name in _VECTOR_KEYS else (v,)
-            if not all(map(math.isfinite, vals)):
-                raise ParamError(f"{f.name} must be finite, got {v!r}")
+        _coerce_fields(self)
         if self.K < 1:
             raise ParamError("K must be >= 1")
         if not self.sigma_x > 0:
@@ -91,17 +116,10 @@ class ModelParams:
             raise ParamError("sigma_eps must be >= 0")
         if not 0.0 < self.p_treat < 1.0:
             raise ParamError("p_treat must be in (0, 1)")
-        for name in _VECTOR_KEYS:
-            vec = getattr(self, name)
-            if len(vec) != self.K:
-                raise ParamError(f"{name} length {len(vec)} != K={self.K}")
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
         for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+            vec = getattr(self, f.name)
+            if f.type == _VECTOR and len(vec) != self.K:
+                raise ParamError(f"{f.name} length {len(vec)} != K={self.K}")
 
 
 @dataclass(frozen=True)
@@ -114,76 +132,48 @@ class ScenarioConfig:
     label: str = "unnamed"
 
     def __post_init__(self):
+        _coerce_fields(self)
         if self.n < 2:
             raise ParamError("n must be >= 2")
         if not 0 <= self.seed < 2**64:
             raise ParamError("seed must be a 64-bit unsigned integer")
-        if not isinstance(self.label, str):
-            raise ParamError(f"label must be a string, got {self.label!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        out = self.params.to_dict()
-        out.update(n=self.n, seed=self.seed, label=self.label)
-        return out
+        """The flat scenario document, ModelParams keys first."""
+        doc = asdict(self)
+        return {**doc.pop("params"), **doc}
 
 
-def _require_number(raw: Mapping[str, Any], key: str) -> float:
-    v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParamError(f"{key} must be a number, got {v!r}")
-    return float(v)
-
-
-def _require_vector(raw: Mapping[str, Any], key: str, k: int) -> tuple[float, ...]:
-    v = raw[key]
-    if not isinstance(v, (list, tuple)):
-        raise ParamError(f"{key} must be an array of length K={k}")
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
-        raise ParamError(f"{key} entries must be numbers, got {v!r}")
-    return tuple(float(x) for x in v)
+def _fill(raw: Mapping[str, Any], schema) -> dict[str, Any]:
+    """``raw`` with the defaults of the fields ``schema`` filled in; an
+    unknown or a missing key raises ParamError naming it."""
+    known = {f.name for f in schema}
+    unknown = set(raw) - known
+    if unknown:
+        raise ParamError(f"unknown key(s): {', '.join(sorted(unknown))}")
+    doc = {f.name: f.default for f in schema if f.default is not MISSING}
+    doc.update(raw)
+    missing = known - set(doc)
+    if missing:
+        raise ParamError(f"missing required key(s): {', '.join(sorted(missing))}")
+    return doc
 
 
 def validate(raw: Mapping[str, Any]) -> ModelParams:
     """Validate a parsed key-value document into a ModelParams.
 
-    Optional keys (gamma2, K, p_treat) take their documented defaults.
-    Raises :class:`ParamError` naming the offending key for a missing
-    required key, a wrong-length vector, an out-of-range value, or an
-    unknown key.
+    The keys are the field names; a field with a default may be left
+    out.  A missing or unknown key, a wrong type or length, or an
+    out-of-range value raises :class:`ParamError` naming the key.
     """
-    known = {f.name for f in fields(ModelParams)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ParamError(f"unknown key(s): {', '.join(sorted(unknown))}")
-
-    doc = {f.name: f.default for f in fields(ModelParams)
-           if f.default is not MISSING}
-    doc.update(raw)
-
-    missing = known - set(doc)
-    if missing:
-        raise ParamError(f"missing required key(s): {', '.join(sorted(missing))}")
-
-    k = doc["K"]
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ParamError(f"K must be an integer, got {k!r}")
-
-    kwargs: dict[str, Any] = {"K": k}
-    try:
-        for key in _SCALAR_KEYS:
-            kwargs[key] = _require_number(doc, key)
-        for key in _VECTOR_KEYS:
-            kwargs[key] = _require_vector(doc, key, k)
-    except OverflowError:  # float() of a JSON integer beyond float range
-        raise ParamError(f"{key} is beyond float range") from None
-    return ModelParams(**kwargs)
+    return ModelParams(**_fill(raw, fields(ModelParams)))
 
 
 def load_scenario(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
     """Load a scenario from a JSON file path or an already-parsed mapping.
 
-    The document holds the ModelParams keys plus n, seed and optionally
-    label.  Unknown keys fail validation.
+    The document is one flat object holding the ModelParams fields and
+    the run-level ScenarioConfig fields, checked as in :func:`validate`.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -193,21 +183,10 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> ScenarioConfig:
     else:
         raw = dict(source)
 
-    scenario_keys = {"n", "seed", "label"}
-    param_doc = {k: v for k, v in raw.items() if k not in scenario_keys}
-    params = validate(param_doc)
-
-    for key in ("n", "seed"):
-        if key not in raw:
-            raise ParamError(f"missing required key(s): {key}")
-    n = raw["n"]
-    seed = raw["seed"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParamError(f"n must be an integer, got {n!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ParamError(f"seed must be an integer, got {seed!r}")
-    label = {"label": raw["label"]} if "label" in raw else {}
-    return ScenarioConfig(params=params, n=n, seed=seed, **label)
+    run_fields = [f for f in fields(ScenarioConfig) if f.name != "params"]
+    doc = _fill(raw, [*fields(ModelParams), *run_fields])
+    run = {f.name: doc.pop(f.name) for f in run_fields}
+    return ScenarioConfig(params=ModelParams(**doc), **run)
 
 
 def dump_scenario(config: ScenarioConfig, path: str | Path) -> None:
@@ -236,15 +215,9 @@ def load_bundled(name: str) -> ScenarioConfig:
 
 
 def is_full_null(params: ModelParams) -> bool:
-    """True iff treatment has no effect on any generated variable.
-
-    Requires every treatment coefficient to vanish: the intermediate
-    effects alpha2, the direct outcome effect beta2, and the adherence
-    shift gamma2.
-    """
-    return (all(a == 0.0 for a in params.alpha2)
-            and params.beta2 == 0.0
-            and params.gamma2 == 0.0)
+    """True iff treatment has no effect on any generated variable: an
+    outcome null whose adherence shift gamma2 vanishes too."""
+    return is_outcome_null(params) and params.gamma2 == 0.0
 
 
 def is_outcome_null(params: ModelParams) -> bool:

@@ -140,7 +140,7 @@ def test_outcome_baseline_without_x_spread_is_a_fit_error(x0):
     obs = ObservedData(ids=np.arange(n), x=np.full(n, x0),
                        t=np.zeros(n, dtype=np.int8), z=np.zeros((n, 1)),
                        a=np.ones(n, dtype=np.int8),
-                       y=np.arange(n, dtype=float), K=1)
+                       y=np.arange(n, dtype=float))
     with pytest.raises(FitError, match="arm 0"):
         fit_outcome_baseline(obs, arm=0)
 

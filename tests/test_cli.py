@@ -84,11 +84,22 @@ def test_bad_parameter_is_a_config_error(tmp_path, capsys):
 
 
 def test_config_error_creates_no_directory(tmp_path, capsys):
-    out = tmp_path / "never" / "made"
-    rc = main(["simulate", scenario_file(tmp_path, sigma_x=-1.0),
-               "--out", str(out)])
-    assert rc == 2
-    assert not (tmp_path / "never").exists()
+    """A failing run leaves no --out directory, whether its scenario
+    fails to load or the work fails after it loaded."""
+    runs = [
+        (["simulate", scenario_file(tmp_path, "bad.json", sigma_x=-1.0)], 2),
+        (["true-effect", scenario_file(tmp_path), "--nodes", "1"], 2),
+        (["true-effect", scenario_file(tmp_path, "beta2.json", beta2=0.3),
+          "--method", "quadrature"], 2),
+        (["calibrate", scenario_file(tmp_path, "small.json", n=6_000),
+          "--R", "1"], 2),
+        (["calibrate", scenario_file(tmp_path, "singular.json", n=20_000,
+                                     sigma_eta=0.0), "--threads", "1"], 1),
+    ]
+    for args, code in runs:
+        out = tmp_path / "never" / "made"
+        assert main([*args, "--out", str(out)]) == code, args
+        assert not (tmp_path / "never").exists(), args
 
 
 def test_missing_scenario_file_is_io_failure(tmp_path, capsys):

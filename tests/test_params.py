@@ -97,6 +97,24 @@ def test_non_finite_rejected(key, value, tmp_path, capsys):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("K", 3.0), ("K", True), ("n", 1.5), ("n", True), ("seed", "1"),
+    ("label", 5), ("beta3", 0.4), ("gamma0", None),
+])
+def test_wrong_type_names_the_key(key, value):
+    """JSON values of the wrong type, as json.load returns them."""
+    with pytest.raises(ParamError, match=f"^{key} "):
+        load_scenario(doc(**{"n": 100, "seed": 1, "label": "typed",
+                             key: value}))
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenarios_round_trip(name):
+    cfg = load_bundled(name)
+    assert load_scenario(cfg.to_dict()) == cfg
+    assert load_scenario(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 def test_scenario_requires_n_and_seed():
     with pytest.raises(ParamError, match="n"):
         load_scenario(doc(seed=1))
