@@ -36,7 +36,7 @@ print("--- full null ---------------------------------------------")
 obs, cfg = trial("full_null_demo")
 truth = null_stratum_effect(cfg.params)
 naive = estimate_naive(obs)
-plug = estimate_plugin(obs, seed=1, compute_se=False)
+plug = estimate_plugin(obs, compute_se=False)
 print(f"true stratum effect (quadrature):   {truth:8.4f}")
 print(f"naive adherers-vs-adherers:         {naive.value:8.4f} "
       f"+/- {naive.se:.4f}   (blind to the stratum)")
@@ -53,7 +53,7 @@ print("=> the offset reproduces the estimator's null value: an "
 print("\n--- partial null: gamma2 = 2 moves adherence only ---------")
 obs, cfg = trial("partial_null_gamma2")
 truth = null_stratum_effect(cfg.params)
-plug = estimate_plugin(obs, seed=2, compute_se=False)
+plug = estimate_plugin(obs, compute_se=False)
 cal = split_calibrate(obs.subset(obs.t == 0), estimator="plugin",
                       R=R, seed=2)
 gap = abs(cal.mean_offset - truth)

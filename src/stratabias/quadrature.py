@@ -61,7 +61,9 @@ class RefinementError(QuadratureError):
 
 def gauss_hermite_normal(mu: float, sigma: float, nodes: int):
     """Nodes and weights turning sum(w * f(p)) into E[f(N(mu, sigma^2))]."""
-    h, w = np.polynomial.hermite.hermgauss(nodes)
+    # NaN weights from 372 nodes: null_stratum_effect reports them instead
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h, w = np.polynomial.hermite.hermgauss(nodes)
     return mu + math.sqrt(2.0) * sigma * h, w / math.sqrt(math.pi)
 
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import expit
 
 from stratabias import calibration
@@ -180,6 +181,32 @@ def test_plugin_tracks_closed_form():
     assert abs(est.value - truth) <= 0.02
 
 
+def test_marginal_pi_matches_adaptive_quadrature():
+    """pi(x) at grid x-values against scipy's adaptive quadrature of the
+    per-visit product of E[expit(g0 + g1*x + g3*Z_k)]."""
+    fit = fit_sequential_logistic(trial(20_000, seed=52), arm=1)
+    x_eval = np.linspace(-3.0, 3.0, calibration._N_GRID)
+    pi = calibration._marginal_pi(x_eval, fit)
+    for i in np.linspace(0, x_eval.size - 1, 20).astype(int):
+        x = x_eval[i]
+        want = 1.0
+        for vf in fit.visits:
+            (g0, g1, g3), (az, bz, sz) = vf.coef, vf.z_line
+
+            def f(t):
+                return expit(g0 + g1 * x + g3 * (az + bz * x + sz * t)) \
+                    * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
+            want *= quad(f, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-13)[0]
+        assert abs(pi[i] - want) <= 1e-10
+
+
+def test_plugin_point_does_not_depend_on_the_seed():
+    obs = trial(20_000, seed=53)
+    values = [estimate_plugin(obs, seed=s, compute_se=False).value
+              for s in (1, 2)]
+    assert values[0] == values[1]
+
+
 def test_plugin_zero_regimes_report_zero():
     for over in ({"beta3": [0.0, 0.0, 0.0]}, {"gamma3": [0.0, 0.0, 0.0]}):
         est = estimate_plugin(trial(50_000, seed=40, **over),
@@ -213,11 +240,11 @@ def test_plugin_bootstrap_failure_limit(monkeypatch):
     def failing_resamples(bad):
         calls = {"n": 0}
 
-        def point(sub, rng):
+        def point(sub):
             calls["n"] += 1  # call 1 is the point value, then resamples
             if calls["n"] - 2 in bad:
                 raise FitError("synthetic failure")
-            return real_point(sub, rng)
+            return real_point(sub)
         return point
 
     monkeypatch.setattr(calibration, "_plugin_point",
@@ -275,18 +302,18 @@ def test_split_failure_accounting():
     ctrl = control_arm(4_000, seed=45)
     calls = {"n": 0}
 
-    def flaky(obs, seed):
+    def flaky(obs):
         calls["n"] += 1
         if calls["n"] == 3:
             raise EstimatorError("synthetic failure")
-        return ESTIMATORS["naive"](obs, seed)
+        return ESTIMATORS["naive"](obs)
 
     cal = split_calibrate(ctrl, flaky, R=20, seed=1)
     assert cal.estimator == "flaky"
     assert cal.n_failed == 1
     assert len(cal.offsets) == 19
 
-    def broken(obs, seed):
+    def broken(obs):
         raise FitError("always down")
 
     with pytest.raises(CalibrationError, match="limit 10%"):

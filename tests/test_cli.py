@@ -223,6 +223,7 @@ def test_module_help_lists_subcommands():
     ("one node", ["--method", "quadrature", "--nodes", "1"], 2),
     ("non-finite rule", ["--method", "quadrature", "--nodes", "186"], 2),
 ])
+@pytest.mark.filterwarnings("error")
 def test_true_effect_exit_codes(tmp_path, capsys, case, args, code):
     scen = scenario_file(tmp_path)
     if case == "malformed JSON":

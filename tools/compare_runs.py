@@ -17,10 +17,10 @@ directory.  Per invocation it compares:
 
 The list covers every bundled scenario through ``simulate`` and through
 ``true-effect`` with each ``--method``, ``calibrate`` with both
-estimators, four runs that fail after their scenario loads, and
-``paper-demo`` with and without ``--seed``.  Outputs are deleted once
-hashed.  It takes a few minutes on two cores and is not part of the test
-suite.  Exit status: 0 when every run matches, 1 otherwise.
+estimators and once more with censored outcomes (``--no-keep-y``),
+four runs that fail after their scenario loads, and ``paper-demo``
+with and without ``--seed``.  Outputs are deleted once hashed.  It
+takes a few minutes on two cores and is not part of the test suite.  Exit status: 0 when every run matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ def invocations(scenarios: list[str], work: Path) -> list[tuple[str, list]]:
                               "--estimator", "plugin", "--threads", "2"]),
         ("calibrate naive", ["calibrate", "{full_null_demo}",
                              "--estimator", "naive", "--threads", "2"]),
+        ("calibrate plugin --no-keep-y",
+         ["calibrate", "{full_null_demo}", "--estimator", "plugin",
+          "--no-keep-y", "--threads", "2"]),
         ("fails: true-effect --nodes 1",
          ["true-effect", "{full_null_demo}", "--nodes", "1"]),
         ("fails: true-effect beta2=0.3 --method quadrature",
