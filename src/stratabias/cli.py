@@ -30,12 +30,13 @@ from . import __version__
 from .calibration import (CalibrationError, EstimatorError, FitError,
                           fit_sequential_logistic, split_calibrate,
                           write_calibration_csv, write_fit_csv)
-from .datagen import generate, observe, write_observed_csv, write_subjects_csv
+from .datagen import (generate, generate_blocks, observe, write_observed_csv,
+                      write_subjects_csv)
 from .params import (ScenarioConfig, is_outcome_null, load_bundled,
                      load_scenario)
 from .quadrature import RefinementError, null_stratum_effect
 from .strata import (S_BOTH, S_TREATED, EffectEstimate, oracle_effect,
-                     write_effects_csv)
+                     stratum_members, write_effects_csv)
 
 Run = tuple[dict, int]  # a subcommand's ({file name: writer}, failed claims)
 
@@ -62,12 +63,16 @@ def _load_config(args) -> ScenarioConfig:
 def _oracles(cfg: ScenarioConfig, method: str = "both", **quad_options):
     """(quad, both, treated, agreement): the closed form, the S_++ and S_*+
     Monte Carlo effects and their ``_gap_check``, None where ``method``
-    skips one.  The closed form runs before any subject is drawn."""
+    skips one.  The closed form runs before any subject is drawn; the
+    subjects are then streamed in id blocks, and only the members of the
+    strata asked for are kept."""
     quad = (null_stratum_effect(cfg.params, **quad_options)
             if method != "mc" else None)
-    data = generate(cfg)
-    both = oracle_effect(data, S_BOTH)
-    treated = oracle_effect(data, S_TREATED) if method != "quadrature" else None
+    strata = (S_BOTH,) if method == "quadrature" else (S_BOTH, S_TREATED)
+    table = stratum_members(generate_blocks(cfg), strata)
+    both = oracle_effect(table, S_BOTH)
+    treated = (oracle_effect(table, S_TREATED)
+               if method != "quadrature" else None)
     if quad is None or treated is None:
         return quad, both, treated, None
     return quad, both, treated, _gap_check(quad, treated.value, treated.se,
@@ -126,7 +131,7 @@ def cmd_true_effect(args, cfg: ScenarioConfig) -> Run:
 
 
 def cmd_calibrate(args, cfg: ScenarioConfig) -> Run:
-    obs = observe(generate(cfg), keep_y_after_dropout=args.keep_y)
+    obs = observe(generate(cfg), keep_y_after_dropout=True)
     print(f"scenario '{cfg.label}': estimator={args.estimator}, "
           f"R={args.R}, control n={int((obs.t == 0).sum())}")
     fit, cal, truth = _calibration(cfg, obs, args.estimator, args.R,
@@ -267,10 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="plugin")
     p.add_argument("--R", type=int, default=200,
                    help="number of random splits")
-    p.add_argument("--keep-y", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="record outcomes for non-adherers (the plug-in "
-                        "estimator's outcome model wants this)")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("paper-demo", parents=[common, threaded],

@@ -32,12 +32,18 @@ reverse.  The fixed layout makes each record a pure function of
 
 The noise draws eta and eps are consumed chunk by chunk but not kept:
 ``SubjectData`` stores only what the oracles, estimators and writers
-read (x, t, z, y and the adherence path).
+read (x, t, z, y and the adherence path), 87 B per subject at K = 3.
+
+``generate_blocks`` yields the same subjects in id blocks of ``_CHUNK``.
+The Monte Carlo oracle streams them and keeps only each stratum
+member's id, adherence pair and contrast, so its memory grows with the
+members, not with n, and its values do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +52,11 @@ from scipy.special import expit, ndtri
 from .params import ModelParams, ScenarioConfig
 from .rng import uniform_matrix
 
-_CHUNK = 1 << 18
+# Subjects per Philox pass and per streamed block.  2^14 was not faster
+# beyond run-to-run spread: in 10 alternating perfbench pairs each on
+# 2 vCPU, its true-effect median was 2.7% lower (lower in 8 of 10 pairs,
+# inside either side's quartile spread) and calibrate was slower in 7.
+_CHUNK = 1 << 15
 
 # Rows per formatted block in write_table: bounds the formatted strings
 # held in memory at once, whatever the table's length.
@@ -169,6 +179,14 @@ def generate(config: ScenarioConfig) -> SubjectData:
     """Generate the scenario's n subjects with ids 0..n-1."""
     ids = np.arange(config.n, dtype=np.int64)
     return generate_block(config.params, config.seed, ids)
+
+
+def generate_blocks(config: ScenarioConfig) -> Iterator[SubjectData]:
+    """The scenario's subjects in consecutive id blocks of ``_CHUNK``;
+    concatenated in order, the blocks are ``generate(config)``."""
+    for lo in range(0, config.n, _CHUNK):
+        ids = np.arange(lo, min(lo + _CHUNK, config.n), dtype=np.int64)
+        yield generate_block(config.params, config.seed, ids)
 
 
 def observe(data: SubjectData, keep_y_after_dropout: bool = False) -> ObservedData:

@@ -10,11 +10,16 @@ All stratum means are computed with exactly-rounded summation
 (math.fsum), so results are independent of record order and of how
 members are grouped - the grouped-mean (tower) identity and permutation
 invariance hold bit-for-bit, not just to rounding error.
+
+``oracle_effect`` reads only ``ids``, ``a`` and ``diff``: a whole
+``SubjectData`` and the ``MemberTable`` that ``stratum_members`` keeps
+from a stream of id blocks give bitwise the same estimate.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -79,17 +84,42 @@ class BiasReport:
         return self.mean_y0_given_a1 - self.mean_y0
 
 
+@dataclass(frozen=True)
+class MemberTable:
+    """The stratum members of a dataset, in id order: their ids, their
+    adherence pair ``a`` (m, 2) and their contrast ``diff`` y(1) - y(0),
+    18 B per member."""
+
+    ids: np.ndarray
+    a: np.ndarray
+    diff: np.ndarray
+
+
+def stratum_members(blocks: Iterable[SubjectData],
+                    labels: tuple[StratumLabel, ...]) -> MemberTable:
+    """One pass over id-ordered blocks, keeping only the subjects in any
+    of ``labels``; each block can be dropped once it has been read."""
+    kept = []
+    for block in blocks:
+        keep = np.zeros(len(block), dtype=bool)
+        for label in labels:
+            keep |= members(block, label)
+        kept.append((block.ids[keep], block.a[keep], block.diff[keep]))
+    return MemberTable(*(np.concatenate(col) for col in zip(*kept)))
+
+
 def exact_mean(values: np.ndarray) -> float:
     """Exactly-rounded mean: independent of summation order and grouping."""
     return math.fsum(values.tolist()) / len(values)
 
 
-def members(data: SubjectData, label: StratumLabel) -> np.ndarray:
-    """Boolean membership mask over a dataset."""
+def members(data: SubjectData | MemberTable,
+            label: StratumLabel) -> np.ndarray:
+    """Boolean membership mask over a dataset or a member table."""
     return label.matches(data.a[:, 0], data.a[:, 1])
 
 
-def _nonempty(data: SubjectData,
+def _nonempty(data: SubjectData | MemberTable,
               label: StratumLabel) -> tuple[np.ndarray, int]:
     """(membership mask, member count); an empty stratum raises."""
     mask = members(data, label)
@@ -99,7 +129,8 @@ def _nonempty(data: SubjectData,
     return mask, m
 
 
-def oracle_effect(data: SubjectData, label: StratumLabel) -> EffectEstimate:
+def oracle_effect(data: SubjectData | MemberTable,
+                  label: StratumLabel) -> EffectEstimate:
     """Mean and SE of y(1) - y(0) over the stratum's members.
 
     The SE is the paired-difference SE (sample SD of per-member

@@ -244,6 +244,18 @@ def test_threads_only_where_used(tmp_path, capsys, command):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_calibrate_always_keeps_outcomes(tmp_path, capsys):
+    """The plug-in's arm-0 outcome line needs non-adherers' outcomes (on
+    adherers only its offset collapses toward 0), so ``calibrate`` has no
+    option to censor them and ``--no-keep-y`` is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", scenario_file(tmp_path, n=6_000), "--no-keep-y",
+              "--R", "4", "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "--no-keep-y" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_calibrate_singular_design_fails_before_splitting(tmp_path, capsys):
     doc = load_bundled("sigma_eta_zero").to_dict()
     doc.update(n=20_000)

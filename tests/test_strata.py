@@ -1,12 +1,18 @@
 """Stratum oracle: membership, exact means, and the grouped-mean identity."""
 
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabias.datagen import SubjectData, generate
-from stratabias.params import load_scenario
+from stratabias import datagen
+from stratabias.cli import _oracles
+from stratabias.datagen import SubjectData, generate, generate_blocks
+from stratabias.params import load_bundled, load_scenario
 from stratabias.strata import (EmptyStratumError, S_BOTH, S_CONTROL,
                                S_TREATED, StratumLabel, bias_decomposition,
                                exact_mean, members, oracle_effect,
@@ -138,3 +144,55 @@ def test_effects_csv(tmp_path):
     label, code, m, value, se = lines[1].split(",")
     assert (label, code, m) == ("demo", "S_*+", "3")
     assert float(value) == est.value and float(se) == est.se
+
+
+# -- the streamed oracle ----------------------------------------------------
+
+def _bits(est):
+    return est.value.hex(), est.se.hex(), est.n_members
+
+
+@pytest.mark.parametrize("chunk", [777, 1 << 20])
+@pytest.mark.parametrize("name", ["full_null_demo", "partial_null_gamma2"])
+def test_streamed_oracle_is_bitwise_the_whole_table_one(monkeypatch, name,
+                                                         chunk):
+    """``_oracles`` streams id blocks and keeps only stratum members; its
+    estimates are bitwise those of the whole table, whatever the block."""
+    cfg = dataclasses.replace(load_bundled(name), n=20_011)
+    data = generate(cfg)
+    monkeypatch.setattr(datagen, "_CHUNK", chunk)
+    assert len(list(generate_blocks(cfg))) == math.ceil(cfg.n / chunk)
+    _, both, treated, _ = _oracles(cfg, "mc")
+    assert _bits(both) == _bits(oracle_effect(data, S_BOTH))
+    assert _bits(treated) == _bits(oracle_effect(data, S_TREATED))
+
+
+def test_streamed_oracle_empty_stratum_raises(monkeypatch):
+    cfg = load_bundled("full_null_demo")
+    cfg = dataclasses.replace(
+        cfg, n=2_000, params=dataclasses.replace(cfg.params, gamma0=-60.0))
+    monkeypatch.setattr(datagen, "_CHUNK", 777)
+    with pytest.raises(EmptyStratumError, match="S_\\+\\+"):
+        _oracles(cfg, "mc")
+
+
+def test_streamed_oracle_peaks_below_half_the_whole_table():
+    """numpy reports its buffers to tracemalloc, so the traced peak is
+    the memory each path holds at once, free of RSS noise."""
+    cfg = dataclasses.replace(load_bundled("full_null_demo"), n=1 << 20)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def whole():
+        data = generate(cfg)
+        oracle_effect(data, S_BOTH)
+        oracle_effect(data, S_TREATED)
+
+    streamed = peak(lambda: _oracles(cfg, "mc"))
+    assert streamed < peak(whole) / 2
