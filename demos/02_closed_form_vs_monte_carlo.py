@@ -1,8 +1,9 @@
 """Two independent routes to the same number.
 
-The treated-adherent stratum effect under an outcome-null scenario has
-a closed form: a ratio of Gaussian expectations that Gauss-Hermite
-quadrature evaluates to near machine precision in milliseconds.  The
+The treated-adherent stratum effect has a closed form: the
+patient-level effect (0 in this full-null scenario) plus a ratio of
+Gaussian expectations that Gauss-Hermite quadrature evaluates to near
+machine precision in milliseconds.  The
 same quantity can be estimated by brute force - generate both
 potential outcomes for n subjects and average Y(1)-Y(0) over the
 stratum members.  The two routes share no code beyond the parameter

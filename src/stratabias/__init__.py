@@ -13,9 +13,8 @@ effect in the stratum adherent under both arms is exactly zero.
 __version__ = "0.1.0"
 
 from .params import (ModelParams, ParamError, ScenarioConfig,
-                     bundled_scenario_names, dump_scenario, is_full_null,
-                     is_outcome_null, load_bundled, load_scenario,
-                     sufficient_condition_holds, validate)
+                     bundled_scenario_names, dump_scenario, is_outcome_null,
+                     load_bundled, load_scenario, validate)
 from .datagen import (ObservedData, SubjectData, generate, generate_block,
                       observe, write_observed_csv, write_subjects_csv)
 from .strata import (EffectEstimate, EmptyStratumError, S_BOTH, S_CONTROL,
@@ -33,8 +32,8 @@ __all__ = [
     "__version__",
     # params
     "ModelParams", "ParamError", "ScenarioConfig", "bundled_scenario_names",
-    "dump_scenario", "is_full_null", "is_outcome_null", "load_bundled",
-    "load_scenario", "sufficient_condition_holds", "validate",
+    "dump_scenario", "is_outcome_null", "load_bundled", "load_scenario",
+    "validate",
     # datagen
     "ObservedData", "SubjectData", "generate", "generate_block", "observe",
     "write_observed_csv", "write_subjects_csv",

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import expit
 
 from .datagen import ObservedData, write_table
-from .quadrature import gauss_hermite_normal
+from .quadrature import gauss_hermite_normal, visit_factor
 from .strata import S_TREATED, EffectEstimate, exact_mean
 
 _MAX_ITER = 50
@@ -255,7 +255,7 @@ def _marginal_pi(x_eval: np.ndarray, fit: LogisticFit) -> np.ndarray:
     The fitted model draws visit k's intermediate independently given x,
     Z_k ~ N(az + bz*x, sz^2) from its ``z_line``, so pi(x) is
     prod_k E[expit(g0 + g1*x + g3*Z_k)]: one Gaussian integral per
-    visit, each by a _PI_NODES-node Gauss-Hermite rule.  A factor's
+    visit, each by ``visit_factor`` on a _PI_NODES-node rule.  A factor's
     absolute error is below 1e-15 for |g3*sz| <= 1, 1e-10 at 2 and 6e-6
     at 4 (intercepts in [-12, 12], against adaptive quadrature).  pi is
     evaluated on an x-grid spanning the data and interpolated linearly
@@ -269,9 +269,8 @@ def _marginal_pi(x_eval: np.ndarray, fit: LogisticFit) -> np.ndarray:
     pi_grid = np.ones(grid.size)
     for vf in fit.visits:
         (g0, g1, g3), (az, bz, sz) = vf.coef, vf.z_line
-        eta = (g0 + g3 * az) + (g1 + g3 * bz) * grid[:, None] + g3 * sz * xi
-        # a numpy sum, not ``@``: BLAS would tie pi to its thread count
-        pi_grid *= (expit(eta) * w).sum(axis=1)
+        pi_grid *= visit_factor(g0 + g3 * az, g1 + g3 * bz, g3 * sz,
+                                grid, xi, w)
     u = (x_eval - lo) * ((grid.size - 1) / (hi - lo))
     i = np.minimum(u.astype(np.intp), grid.size - 2)
     u -= i  # in place: x_eval can hold every subject

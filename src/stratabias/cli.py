@@ -63,17 +63,17 @@ def _load_config(args) -> ScenarioConfig:
 def _oracles(cfg: ScenarioConfig, method: str = "both", **quad_options):
     """(quad, both, treated, agreement): the closed form, the S_++ and S_*+
     Monte Carlo effects and their ``_gap_check``, None where ``method``
-    skips one.  The closed form runs before any subject is drawn; the
-    subjects are then streamed in id blocks, and only the members of the
-    strata asked for are kept."""
+    skips one.  The closed form runs before any subject is drawn, and
+    ``quadrature`` draws none; the subjects are streamed in id blocks,
+    and only the members of the two strata are kept."""
     quad = (null_stratum_effect(cfg.params, **quad_options)
             if method != "mc" else None)
-    strata = (S_BOTH,) if method == "quadrature" else (S_BOTH, S_TREATED)
-    table = stratum_members(generate_blocks(cfg), strata)
+    if method == "quadrature":
+        return quad, None, None, None
+    table = stratum_members(generate_blocks(cfg), (S_BOTH, S_TREATED))
     both = oracle_effect(table, S_BOTH)
-    treated = (oracle_effect(table, S_TREATED)
-               if method != "quadrature" else None)
-    if quad is None or treated is None:
+    treated = oracle_effect(table, S_TREATED)
+    if quad is None:
         return quad, both, treated, None
     return quad, both, treated, _gap_check(quad, treated.value, treated.se,
                                            _MC_AGREEMENT_SIGMAS)

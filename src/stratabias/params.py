@@ -214,31 +214,12 @@ def load_bundled(name: str) -> ScenarioConfig:
     return load_scenario(json.loads(text))
 
 
-def is_full_null(params: ModelParams) -> bool:
-    """True iff treatment has no effect on any generated variable: an
-    outcome null whose adherence shift gamma2 vanishes too."""
-    return is_outcome_null(params) and params.gamma2 == 0.0
-
-
 def is_outcome_null(params: ModelParams) -> bool:
     """True iff treatment has no effect on the outcome pathway.
 
     alpha2 = 0 and beta2 = 0; gamma2 may be nonzero (adherence-only
-    treatment effect).  This is the validity domain of the closed-form
-    stratum-effect integral.
+    treatment effect).  There the patient-level effect is 0, so the
+    stratum effect is the null reference that split calibration is
+    judged against (``cli._calibration``'s verdict).
     """
     return all(a == 0.0 for a in params.alpha2) and params.beta2 == 0.0
-
-
-def sufficient_condition_holds(params: ModelParams) -> bool:
-    """Structural check that selection cannot bias the stratum effect.
-
-    True iff the outcome does not load on the intermediates (beta3 = 0),
-    or adherence does not (gamma3 = 0), or the intermediate noise is
-    degenerate (sigma_eta = 0).  Any of these makes the treatment
-    contrast conditionally independent of adherence given baseline, which
-    forces a zero stratum effect under the null.
-    """
-    return (all(b == 0.0 for b in params.beta3)
-            or all(g == 0.0 for g in params.gamma3)
-            or params.sigma_eta == 0.0)

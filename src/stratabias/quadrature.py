@@ -1,29 +1,37 @@
-"""Closed-form stratum effect under an outcome-null model, by quadrature.
+"""Closed-form treated-adherent stratum effect, by quadrature.
 
-When the experimental assignment moves neither the intermediates' means
-(alpha2 = 0) nor the outcome directly (beta2 = 0), the outcome contrast
-y(1) - y(0) reduces to the intermediate-noise terms weighted by beta3
-plus exchangeable residual noise.  Conditioning on adherence under the
-experimental arm then tilts each intermediate's noise eta_k by the
-adherence weights, and the treated-adherent stratum effect becomes a
-ratio of Gaussian expectations:
+The outcome contrast is
 
-    effect = E_x[ sum_k beta3_k * N_k(x) * prod_{k' != k} D_k'(x) ]
-             / E_x[ prod_k D_k(x) ]
+    y(1) - y(0) = delta + sum_k beta3_k * (eta_k(1) - eta_k(0))
+                  + eps(1) - eps(0)
+
+with delta = beta2 + sum_k beta3_k * alpha2_k, the patient-level average
+effect.  Adherence under the experimental arm reads only x and eta(1),
+so given x the eta(0) and eps terms are independent of it and average
+to 0 in the stratum.  Conditioning on that adherence tilts each noise
+eta_k(1) by the adherence weights, and the treated-adherent stratum
+effect is delta plus a selection term, a ratio of Gaussian expectations:
+
+    effect = delta + E_x[ sum_k beta3_k * N_k(x) * prod_{k' != k} D_k'(x) ]
+                     / E_x[ prod_k D_k(x) ]
 
 with, for xi ~ N(0, sigma_eta^2),
 
     D_k(x) = E_xi[ w_k(x, xi) ]        (adherence weight at visit k)
     N_k(x) = E_xi[ xi * w_k(x, xi) ]   (noise tilted by that weight)
-    w_k(x, xi) = expit((gamma0 + gamma2 + gamma3_k*alpha0_k)
+    w_k(x, xi) = expit((gamma0 + gamma2 + gamma3_k*(alpha0_k + alpha2_k))
                        + (gamma1 + gamma3_k*alpha1_k) * x
                        + gamma3_k * xi)
 
-Every factor is a one-dimensional Gaussian integral, evaluated by
-Gauss-Hermite quadrature.  gamma2 enters because adherence is evaluated
-under the experimental arm; a nonzero gamma2 leaves the outcome pathway
-null but changes who adheres, which is exactly the regime where
-control-arm calibration stops matching this quantity.
+The eta_k are independent across visits, so the expectation factors
+visit by visit.  Every factor is a one-dimensional Gaussian integral,
+evaluated by Gauss-Hermite quadrature in ``visit_factor``, which the
+plug-in estimator's marginal adherence weight calls too.  gamma2 and
+alpha2 enter the intercept because adherence is evaluated under the
+experimental arm.  With alpha2 = 0 and beta2 = 0 (an outcome null) a
+nonzero gamma2 changes who adheres but not the outcome, which is
+exactly the regime where control-arm calibration stops matching this
+quantity.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .params import ModelParams, is_outcome_null
+from .params import ModelParams
 
 # Relative agreement required between the result at n nodes and at 2n.
 _REL_TOL = 1e-9
@@ -43,7 +51,7 @@ _ABS_FLOOR = 1e-12
 
 
 class QuadratureError(ValueError):
-    """The closed form does not apply, or the evaluation degenerated."""
+    """The closed form's evaluation degenerated."""
 
 
 class RefinementError(QuadratureError):
@@ -67,56 +75,60 @@ def gauss_hermite_normal(mu: float, sigma: float, nodes: int):
     return mu + math.sqrt(2.0) * sigma * h, w / math.sqrt(math.pi)
 
 
+def visit_factor(c0: float, c1: float, s: float, x: np.ndarray,
+                 xi: np.ndarray, w: np.ndarray, tilted: bool = False):
+    """D(x) = E[expit(c0 + c1*x + s*Xi)] for Xi ~ N(0, 1) at each x, from
+    the standard-normal rule (xi, w) of ``gauss_hermite_normal``; with
+    ``tilted``, (D, N) where N(x) = E[Xi * expit(c0 + c1*x + s*Xi)].
+    Reduced by numpy sums, not a matrix product: BLAS would tie the
+    result to its thread count."""
+    p = expit(c0 + c1 * x[:, None] + s * xi)
+    p *= w
+    d = p.sum(axis=1)
+    return (d, (p * xi).sum(axis=1)) if tilted else d
+
+
 def _evaluate(p: ModelParams, nodes_x: int, nodes_xi: int) -> float:
+    """The selection term of the module docstring on a rule of nodes_x
+    by nodes_xi nodes."""
     xs, wx = gauss_hermite_normal(p.mu_x, p.sigma_x, nodes_x)
-    xis, wxi = gauss_hermite_normal(0.0, p.sigma_eta, nodes_xi)
-
-    dks = []
-    nks = []
+    xi, wxi = gauss_hermite_normal(0.0, 1.0, nodes_xi)
+    # product rule: after visit k, den = prod D and num = sum_k beta3_k
+    # N_k / sigma_eta * prod_{k' != k} D_k', both over the visits so far
+    den = np.ones(nodes_x)
+    num = np.zeros(nodes_x)
     for k in range(p.K):
-        c0 = p.gamma0 + p.gamma2 + p.gamma3[k] * p.alpha0[k]
-        c1 = p.gamma1 + p.gamma3[k] * p.alpha1[k]
-        w = expit(c0 + c1 * xs[:, None] + p.gamma3[k] * xis[None, :])
-        dks.append(w @ wxi)
-        nks.append(w @ (wxi * xis))
+        g3 = p.gamma3[k]
+        d, n = visit_factor(
+            p.gamma0 + p.gamma2 + g3 * (p.alpha0[k] + p.alpha2[k]),
+            p.gamma1 + g3 * p.alpha1[k], g3 * p.sigma_eta, xs, xi, wxi,
+            tilted=True)
+        num = num * d + p.beta3[k] * n * den
+        den = den * d
 
-    den_x = np.ones(nodes_x)
-    for dk in dks:
-        den_x = den_x * dk
-    num_x = np.zeros(nodes_x)
-    for k in range(p.K):
-        term = p.beta3[k] * nks[k]
-        for kk in range(p.K):
-            if kk != k:
-                term = term * dks[kk]
-        num_x = num_x + term
-
-    den = float(wx @ den_x)
-    if den <= 0.0:
+    total = float((wx * den).sum())
+    if total <= 0.0:
         raise QuadratureError("adherence probability underflowed to zero")
-    return float(wx @ num_x) / den
+    return p.sigma_eta * float((wx * num).sum()) / total
 
 
 def null_stratum_effect(params: ModelParams, nodes: int = 64) -> float:
-    """Treated-adherent stratum effect on y under an outcome-null model.
+    """Treated-adherent stratum effect on y: delta plus the selection term.
 
-    Requires alpha2 = 0 and beta2 = 0 (the stratum effect has a closed
-    form only when the outcome pathway is null); gamma2 may be nonzero.
-    The result at ``nodes`` nodes per dimension is re-evaluated at twice
-    as many and the refined value is returned; a relative gap above 1e-9
-    raises RefinementError carrying both values.
+    delta = beta2 + sum_k beta3_k * alpha2_k is the patient-level average
+    effect.  The selection term at ``nodes`` nodes per dimension is
+    re-evaluated at twice as many and the refined value is kept; a
+    relative gap above 1e-9 raises RefinementError carrying both values.
+    delta is added after that check, so the tolerance applies to the
+    integral alone, and with delta = 0 the result is the integral.
     """
     if nodes < 2:
         raise ValueError("node count must be >= 2")
-    if not is_outcome_null(params):
-        raise QuadratureError(
-            "closed form requires an outcome-null model "
-            f"(alpha2 = 0 and beta2 = 0); got alpha2={params.alpha2}, "
-            f"beta2={params.beta2!r} - use the Monte Carlo oracle instead"
-        )
+    delta = params.beta2 + sum(b * a for b, a in zip(params.beta3,
+                                                     params.alpha2))
     if params.sigma_eta == 0.0:
-        # degenerate intermediates: nothing to tilt, the effect is exactly 0
-        return 0.0
+        # degenerate intermediates: nothing to tilt, no selection term
+        return delta
 
     coarse = _evaluate(params, nodes, nodes)
     fine = _evaluate(params, 2 * nodes, 2 * nodes)
@@ -125,4 +137,4 @@ def null_stratum_effect(params: ModelParams, nodes: int = 64) -> float:
     if abs(fine - coarse) > max(_REL_TOL * max(abs(fine), abs(coarse)),
                                 _ABS_FLOOR):
         raise RefinementError(coarse, fine)
-    return fine
+    return delta + fine

@@ -19,7 +19,8 @@ from stratabias.calibration import (ESTIMATORS, CalibrationError,
 from stratabias.cli import main as cli_main
 from stratabias.datagen import ObservedData, generate, observe
 from stratabias.params import ScenarioConfig, load_bundled
-from stratabias.quadrature import null_stratum_effect
+from stratabias.quadrature import (gauss_hermite_normal, null_stratum_effect,
+                                   visit_factor)
 from stratabias.strata import exact_mean
 
 DEMO = load_bundled("full_null_demo").params
@@ -183,20 +184,28 @@ def test_plugin_tracks_closed_form():
 
 def test_marginal_pi_matches_adaptive_quadrature():
     """pi(x) at grid x-values against scipy's adaptive quadrature of the
-    per-visit product of E[expit(g0 + g1*x + g3*Z_k)]."""
+    per-visit product of E[expit(g0 + g1*x + g3*Z_k)], and each visit's
+    tilted moment E[T * expit(...)], Z_k = az + bz*x + sz*T, likewise."""
     fit = fit_sequential_logistic(trial(20_000, seed=52), arm=1)
     x_eval = np.linspace(-3.0, 3.0, calibration._N_GRID)
     pi = calibration._marginal_pi(x_eval, fit)
+    xi, w = gauss_hermite_normal(0.0, 1.0, calibration._PI_NODES)
     for i in np.linspace(0, x_eval.size - 1, 20).astype(int):
         x = x_eval[i]
         want = 1.0
         for vf in fit.visits:
             (g0, g1, g3), (az, bz, sz) = vf.coef, vf.z_line
 
-            def f(t):
-                return expit(g0 + g1 * x + g3 * (az + bz * x + sz * t)) \
+            def f(t, power=0):
+                return t ** power \
+                    * expit(g0 + g1 * x + g3 * (az + bz * x + sz * t)) \
                     * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
             want *= quad(f, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-13)[0]
+            _, tilted = visit_factor(g0 + g3 * az, g1 + g3 * bz, g3 * sz,
+                                     x_eval[i:i + 1], xi, w, tilted=True)
+            want_tilted = quad(f, -np.inf, np.inf, args=(1,), epsabs=1e-14,
+                               epsrel=1e-13)[0]
+            assert abs(tilted[0] - want_tilted) <= 1e-10
         assert abs(pi[i] - want) <= 1e-10
 
 

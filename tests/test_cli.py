@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files, verdicts, exit codes."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import stratabias
-from stratabias import __version__
+from stratabias import __version__, cli
 from stratabias.cli import main
 from stratabias.params import load_bundled
+from stratabias.quadrature import null_stratum_effect
 
 MANIFEST_KEYS = {"scenario_label", "command", "timestamp", "seed",
                  "version", "outputs", "duration_seconds"}
@@ -89,8 +91,6 @@ def test_config_error_creates_no_directory(tmp_path, capsys):
     runs = [
         (["simulate", scenario_file(tmp_path, "bad.json", sigma_x=-1.0)], 2),
         (["true-effect", scenario_file(tmp_path), "--nodes", "1"], 2),
-        (["true-effect", scenario_file(tmp_path, "beta2.json", beta2=0.3),
-          "--method", "quadrature"], 2),
         (["calibrate", scenario_file(tmp_path, "small.json", n=6_000),
           "--R", "1"], 2),
         (["calibrate", scenario_file(tmp_path, "singular.json", n=20_000,
@@ -144,12 +144,31 @@ def test_true_effect_mc_only_skips_quadrature(tmp_path, capsys):
     assert "quadrature" not in (out / "effects.csv").read_text()
 
 
-def test_true_effect_outside_closed_form_domain(tmp_path, capsys):
-    rc = main(["true-effect", scenario_file(tmp_path, beta2=0.3),
-               "--method", "quadrature", "--out", str(tmp_path / "r")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "beta2" in err and "Monte Carlo" in err
+def test_true_effect_off_the_outcome_null(tmp_path, capsys, monkeypatch):
+    """beta2 and alpha2 open the outcome pathway: the closed form adds
+    their patient-level effect, agrees with MC, and ``--method
+    quadrature`` reports the closed form alone, drawing no subject."""
+    scen = scenario_file(tmp_path, beta2=0.3, alpha2=[0.2, -0.1, 0.3])
+    out = tmp_path / "both"
+    assert main(["true-effect", scen, "--out", str(out)]) == 0
+    assert "-> AGREE" in capsys.readouterr().out
+    both_rows = (out / "effects.csv").read_text().splitlines()
+
+    def no_draws(cfg):
+        raise AssertionError("--method quadrature drew subjects")
+    monkeypatch.setattr(cli, "generate_blocks", no_draws)
+    out = tmp_path / "quad"
+    assert main(["true-effect", scen, "--method", "quadrature",
+                 "--out", str(out)]) == 0
+    lines = (out / "effects.csv").read_text().splitlines()
+    assert [ln.split(",")[1] for ln in lines[1:]] == ["S_*+[quadrature]"]
+    assert lines[1] == both_rows[3]
+    # delta = beta2 + sum_k beta3_k alpha2_k plus the selection term of a
+    # model whose arm 1 adheres alike: alpha2 folded into alpha0
+    folded = dataclasses.replace(load_bundled("full_null_demo").params,
+                                 alpha0=(0.2, -0.1, 0.3))
+    want = 0.3 + 0.4 * (0.2 - 0.1 + 0.3) + null_stratum_effect(folded)
+    assert abs(float(lines[1].split(",")[3]) - want) <= 1e-15
 
 
 def test_calibrate_naive_flags_the_bias(tmp_path, capsys):

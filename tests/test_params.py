@@ -1,4 +1,4 @@
-"""Scenario validation: fail-closed parsing and the null-regime predicates."""
+"""Scenario validation: fail-closed parsing and the outcome-null predicate."""
 
 import dataclasses
 import json
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from stratabias.cli import main
 from stratabias.params import (ModelParams, ParamError, ScenarioConfig,
                                bundled_scenario_names, dump_scenario,
-                               is_full_null, is_outcome_null, load_bundled,
-                               load_scenario, sufficient_condition_holds,
+                               is_outcome_null, load_bundled, load_scenario,
                                validate)
 
 BASE = {
@@ -180,20 +179,12 @@ def test_round_trip_property(tmp_path_factory, k, data):
 
 
 def test_null_predicates():
-    p = validate(doc())
-    assert is_full_null(p) and is_outcome_null(p)
-    assert not sufficient_condition_holds(p)
-
-    partial = validate(doc(gamma2=2.0))
-    assert not is_full_null(partial) and is_outcome_null(partial)
+    assert is_outcome_null(validate(doc()))
+    assert is_outcome_null(validate(doc(gamma2=2.0)))
 
     moved = validate(doc(alpha2=[0.1, 0.0, 0.0]))
     assert not is_outcome_null(moved)
     assert not is_outcome_null(validate(doc(beta2=0.3)))
-
-    assert sufficient_condition_holds(validate(doc(beta3=[0, 0, 0])))
-    assert sufficient_condition_holds(validate(doc(gamma3=[0, 0, 0])))
-    assert sufficient_condition_holds(validate(doc(sigma_eta=0.0)))
 
 
 def test_bundled_scenarios_load():
@@ -202,9 +193,9 @@ def test_bundled_scenarios_load():
     for name in names:
         cfg = load_bundled(name)
         assert cfg.n >= 2
-    assert is_full_null(load_bundled("full_null_demo").params)
+    full = load_bundled("full_null_demo").params
+    assert full.gamma2 == 0.0 and is_outcome_null(full)
     partial = load_bundled("partial_null_gamma2").params
     assert partial.gamma2 == 2.0 and is_outcome_null(partial)
-    assert not is_full_null(partial)
     with pytest.raises(ParamError, match="no_such"):
         load_bundled("no_such")

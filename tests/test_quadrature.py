@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import expit
 
 from stratabias import quadrature
-from stratabias.datagen import generate
+from stratabias.datagen import generate, generate_blocks
 from stratabias.params import ScenarioConfig, load_bundled, validate
 from stratabias.quadrature import (QuadratureError, RefinementError,
                                    gauss_hermite_normal, null_stratum_effect)
-from stratabias.strata import S_TREATED, oracle_effect
+from stratabias.strata import S_TREATED, oracle_effect, stratum_members
 
 DEMO = load_bundled("full_null_demo").params
 
@@ -49,13 +51,26 @@ def test_gauss_hermite_helper_integrates_moments():
     assert abs(wts @ (pts - 1.5) ** 2 - 4.0) < 1e-11
 
 
-def test_outcome_pathway_precondition():
-    with pytest.raises(QuadratureError, match="beta2"):
-        null_stratum_effect(params(beta2=0.3))
-    with pytest.raises(QuadratureError, match="Monte Carlo"):
-        null_stratum_effect(params(alpha2=[0.1, 0.0, 0.0]))
-    # gamma2 only moves adherence: still in the closed form's domain
+def test_outcome_pathway_adds_the_patient_level_effect():
+    """delta = beta2 + sum_k beta3_k alpha2_k adds to the selection term,
+    and alpha2 moves arm 1's adherence intercepts by gamma3_k alpha2_k."""
+    base = null_stratum_effect(params())
+    assert null_stratum_effect(params(beta2=0.3)) == 0.3 + base
+    # alpha2 = a and alpha0 = a give arm 1 the same adherence; only the
+    # first adds sum_k beta3_k a_k to the contrast
+    a = [0.2, -0.1, 0.3]
+    delta = sum(0.4 * ak for ak in a)
+    shifted = null_stratum_effect(params(alpha2=a))
+    assert abs(shifted - (delta + null_stratum_effect(params(alpha0=a)))) \
+        <= 1e-15
+    # gamma2 only moves adherence: the selection term alone
     assert null_stratum_effect(params(gamma2=2.0)) > 0.0
+
+
+def test_degenerate_intermediates_return_delta():
+    assert null_stratum_effect(params(sigma_eta=0.0, beta2=0.3)) == 0.3
+    p = params(sigma_eta=0.0, beta2=0.3, alpha2=[0.5, 0.0, 0.0])
+    assert null_stratum_effect(p) == 0.3 + 0.4 * 0.5
 
 
 def test_zero_regimes_are_numerically_zero():
@@ -127,6 +142,8 @@ def test_node_refinement_is_stable_and_reported():
     coarse_only = quadrature._evaluate(DEMO, 32, 32)
     refined = null_stratum_effect(DEMO)
     assert abs(coarse_only - refined) <= 1e-9 * abs(refined)
+    # delta = 0: the refined integral itself, bit for bit
+    assert refined == quadrature._evaluate(DEMO, 128, 128)
 
     # 2 nodes against 4 differ by about 1.1e-3 relative
     with pytest.raises(RefinementError) as err:
@@ -150,3 +167,27 @@ def test_mc_cross_check_general_configuration():
         generate(ScenarioConfig(params=p, n=300_000, seed=1234)), S_TREATED)
     assert est.n_members > 50_000
     assert abs(quad - est.value) <= 3.5 * est.se
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), k=st.integers(min_value=1, max_value=4))
+def test_mc_cross_check_whole_model(data, k):
+    """The closed form against the streamed Monte Carlo oracle with every
+    treatment pathway open: alpha2, beta2, gamma2 and signed loadings."""
+    def num(lo, hi):
+        return data.draw(st.floats(min_value=lo, max_value=hi))
+
+    def vec(lo, hi):
+        return [num(lo, hi) for _ in range(k)]
+
+    p = params(K=k, alpha0=vec(-0.5, 0.5), alpha1=vec(-0.5, 0.5),
+               alpha2=vec(-0.5, 0.5), beta2=num(-0.5, 0.5),
+               beta3=vec(-1.0, 1.0), sigma_eta=num(0.3, 1.5),
+               sigma_eps=0.5, gamma0=num(0.0, 2.0), gamma1=num(-0.5, 0.5),
+               gamma2=num(-1.5, 1.5), gamma3=vec(-1.0, 1.0))
+    cfg = ScenarioConfig(params=p, n=200_000,
+                         seed=data.draw(st.integers(0, 2**64 - 1)))
+    quad = null_stratum_effect(p)
+    est = oracle_effect(stratum_members(generate_blocks(cfg), (S_TREATED,)),
+                        S_TREATED)
+    assert abs(quad - est.value) <= 4.0 * est.se
