@@ -36,6 +36,7 @@ quantity.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -67,12 +68,25 @@ class RefinementError(QuadratureError):
         )
 
 
-def gauss_hermite_normal(mu: float, sigma: float, nodes: int):
-    """Nodes and weights turning sum(w * f(p)) into E[f(N(mu, sigma^2))]."""
+@functools.lru_cache(maxsize=None)
+def _rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Hermite rule at ``nodes`` nodes, weights divided by
+    sqrt(pi): built once per process and shared, so both arrays are
+    read-only."""
     # NaN weights from 372 nodes: null_stratum_effect reports them instead
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         h, w = np.polynomial.hermite.hermgauss(nodes)
-    return mu + math.sqrt(2.0) * sigma * h, w / math.sqrt(math.pi)
+    w = w / math.sqrt(math.pi)
+    h.setflags(write=False)
+    w.setflags(write=False)
+    return h, w
+
+
+def gauss_hermite_normal(mu: float, sigma: float, nodes: int):
+    """Nodes and weights turning sum(w * f(p)) into E[f(N(mu, sigma^2))];
+    the weights are the shared read-only array of ``_rule``."""
+    h, w = _rule(nodes)
+    return mu + math.sqrt(2.0) * sigma * h, w
 
 
 def visit_factor(c0: float, c1: float, s: float, x: np.ndarray,

@@ -18,6 +18,7 @@ from a stream of id blocks give bitwise the same estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -27,6 +28,10 @@ from typing import Optional
 import numpy as np
 
 from .datagen import SubjectData, write_table
+
+
+# Elements per tolist() slice in exact_mean: 1 MB of Python floats.
+_FSUM_CHUNK = 1 << 15
 
 
 class EmptyStratumError(ValueError):
@@ -109,8 +114,12 @@ def stratum_members(blocks: Iterable[SubjectData],
 
 
 def exact_mean(values: np.ndarray) -> float:
-    """Exactly-rounded mean: independent of summation order and grouping."""
-    return math.fsum(values.tolist()) / len(values)
+    """Exactly-rounded mean: independent of summation order and grouping.
+    fsum reads the floats lazily, 2^15 at a time, so no Python float list
+    of the whole array is ever held."""
+    chunks = (values[i:i + _FSUM_CHUNK].tolist()
+              for i in range(0, len(values), _FSUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(chunks)) / len(values)
 
 
 def members(data: SubjectData | MemberTable,

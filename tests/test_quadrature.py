@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import expit
 
-from stratabias import quadrature
+from stratabias import calibration, quadrature
+from stratabias.calibration import LogisticFit, VisitFit
 from stratabias.datagen import generate, generate_blocks
 from stratabias.params import ScenarioConfig, load_bundled, validate
 from stratabias.quadrature import (QuadratureError, RefinementError,
@@ -49,6 +54,75 @@ def test_gauss_hermite_helper_integrates_moments():
     assert abs(wts.sum() - 1.0) < 1e-14
     assert abs(wts @ pts - 1.5) < 1e-12
     assert abs(wts @ (pts - 1.5) ** 2 - 4.0) < 1e-11
+
+
+# -- the shared Gauss-Hermite rule ------------------------------------------
+
+@pytest.fixture
+def cold_rules():
+    quadrature._rule.cache_clear()
+    yield
+    quadrature._rule.cache_clear()
+
+
+def test_each_rule_is_built_once_per_node_count(cold_rules, monkeypatch):
+    calls = Counter()
+    hermgauss = np.polynomial.hermite.hermgauss
+
+    def counted(nodes):
+        calls[nodes] += 1
+        return hermgauss(nodes)
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
+    null_stratum_effect(DEMO)  # 64 nodes refined at 128
+    visit = VisitFit(visit=0, coef=(0.5, 0.2, 0.3), se=(0.0, 0.0, 0.0),
+                     n_at_risk=1, loglik_path=(0.0,), converged=True,
+                     z_line=(0.0, 0.5, 1.0))
+    calibration._marginal_pi(np.linspace(-2.0, 2.0, 50),
+                             LogisticFit(visits=(visit, visit)))
+    assert calibration._PI_NODES == 64
+    assert calls == {64: 1, 128: 1}
+
+
+def test_shared_rule_is_read_only(cold_rules):
+    pts, wts = gauss_hermite_normal(0.0, 1.0, 64)
+    with pytest.raises(ValueError, match="read-only"):
+        wts[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        wts *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        quadrature._rule(64)[0][0] = 0.0
+    pts[0] = 0.0  # the shifted nodes are the caller's own array
+
+
+@pytest.mark.parametrize("nodes", [2, 64, 128, 185])
+def test_cached_rule_is_bitwise_the_uncached_one(cold_rules, nodes):
+    h, w = np.polynomial.hermite.hermgauss(nodes)
+    for mu, sigma in ((0.0, 1.0), (1.5, 2.0), (-0.3, 0.7)):
+        for _ in range(2):  # cold, then cached
+            pts, wts = gauss_hermite_normal(mu, sigma, nodes)
+            assert pts.tobytes() == (mu + math.sqrt(2.0) * sigma * h).tobytes()
+            assert wts.tobytes() == (w / math.sqrt(math.pi)).tobytes()
+
+
+def test_threads_on_a_cold_cache_get_equal_rules(cold_rules):
+    start = threading.Barrier(8, timeout=30)
+
+    def take(_):
+        start.wait()
+        return gauss_hermite_normal(0.0, 1.0, 128)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            rules = [f.result(timeout=60)
+                     for f in [pool.submit(take, i) for i in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for pts, wts in rules:
+        assert pts.tobytes() == rules[0][0].tobytes()
+        assert wts.tobytes() == rules[0][1].tobytes()
 
 
 def test_outcome_pathway_adds_the_patient_level_effect():

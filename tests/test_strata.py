@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabias import datagen
+from stratabias import datagen, strata
 from stratabias.cli import _oracles
 from stratabias.datagen import SubjectData, generate, generate_blocks
 from stratabias.params import load_bundled, load_scenario
@@ -132,6 +132,17 @@ def test_bias_decomposition_identity():
     assert rep.n_members == est.n_members
     # under selection, the treated-arm shift should dominate
     assert rep.shift_treated > rep.shift_control > 0
+
+
+def test_exact_mean_is_bitwise_one_fsum_over_the_whole_list():
+    """Sums that cancel only across exact_mean's slice boundaries."""
+    cancel = np.tile([1e16, 1.0, -1e16], (strata._FSUM_CHUNK * 2) // 3 + 5)
+    rng = np.random.default_rng(7)
+    for values in (cancel, rng.standard_normal(100_000),
+                   np.concatenate([cancel, rng.standard_normal(100_000)]),
+                   rng.standard_normal(3)):
+        assert exact_mean(values) == math.fsum(values.tolist()) / len(values)
+    assert exact_mean(cancel) == 1.0 / 3.0
 
 
 def test_effects_csv(tmp_path):
