@@ -152,22 +152,21 @@ def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectDa
 
         x[:] = params.mu_x + params.sigma_x * ndtri(u[:, 0])
         t[:] = u[:, 1] < params.p_treat
-        eta = params.sigma_eta * ndtri(u[:, 2:2 + 2 * K]).reshape(-1, 2, K)
-        eps = params.sigma_eps * ndtri(u[:, 2 + 2 * K:4 + 2 * K])
-        u_adh = u[:, 4 + 2 * K:]
 
         for arm in (0, 1):
             for k in range(K):
-                z[:, arm, k] = alpha0[k] + alpha1[k] * x + alpha2[k] * arm + eta[:, arm, k]
+                eta = params.sigma_eta * ndtri(u[:, 2 + arm * K + k])
+                z[:, arm, k] = alpha0[k] + alpha1[k] * x + alpha2[k] * arm + eta
             acc = beta3[0] * z[:, arm, 0]
             for k in range(1, K):
                 acc = acc + beta3[k] * z[:, arm, k]
-            y[:, arm] = params.beta0 + params.beta1 * x + params.beta2 * arm + acc + eps[:, arm]
+            eps = params.sigma_eps * ndtri(u[:, 2 + 2 * K + arm])
+            y[:, arm] = params.beta0 + params.beta1 * x + params.beta2 * arm + acc + eps
             alive = np.ones(hi - lo, dtype=bool)
             for k in range(K):
                 p = expit(params.gamma0 + params.gamma2 * arm
                           + params.gamma1 * x + params.gamma3[k] * z[:, arm, k])
-                adhere = (u_adh[:, arm * K + k] < p) & alive
+                adhere = (u[:, 4 + 2 * K + arm * K + k] < p) & alive
                 a_seq[:, arm, k] = adhere
                 alive = adhere
 

@@ -9,9 +9,15 @@ output.
 
 The implementation is vectorized numpy and round-for-round follows the
 published Philox-4x32 construction (verified against its known-answer
-vectors in tests/test_rng.py).  Each 128-bit block yields two 53-bit
-uniforms in the open interval (0, 1); normals are obtained downstream by
-inverse-CDF so that every draw is a monotone function of its uniform.
+vectors in tests/test_rng.py).  Each 32-bit word is held in a uint64
+array, so a round's 32x32 -> 64-bit products and the hi/lo split need no
+dtype conversion.  Each 128-bit block yields two 53-bit uniforms in the
+open interval (0, 1); normals are obtained downstream by inverse-CDF so
+that every draw is a monotone function of its uniform.
+
+Draws are stored draw-major: ``uniform_matrix`` fills one contiguous row
+per draw index and returns the transposed view, so ``u[:, d]`` is
+contiguous and ``u`` itself is not C-contiguous.
 """
 
 from __future__ import annotations
@@ -23,10 +29,36 @@ _M1 = np.uint64(0xCD9E8D57)
 _W0 = 0x9E3779B9
 _W1 = 0xBB67AE85
 _LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
 _ROUNDS = 10
 
 # 2^-53; uniforms are (bits53 + 0.5) * 2^-53, always inside (0, 1)
 _INV53 = float(np.ldexp(1.0, -53))
+
+
+def _rounds(c0, c1, c2, c3, k0: int, k1: int):
+    """The Philox rounds on 32-bit words held as uint64 arrays or scalars.
+
+    The round keys are bumped in exact integer arithmetic (mod 2^32).
+    The caller's arrays are never written: every in-place XOR lands in
+    an array this loop has just made.  A scalar word stays a scalar
+    until it meets an array, so constant counter words cost no array
+    operations in the first rounds.
+    """
+    for r in range(_ROUNDS):
+        rk0 = np.uint64((k0 + r * _W0) & 0xFFFFFFFF)
+        rk1 = np.uint64((k1 + r * _W1) & 0xFFFFFFFF)
+        p0 = c0 * _M0
+        p1 = c2 * _M1
+        c0 = p1 >> _S32
+        c0 ^= c1
+        c0 ^= rk0
+        c1 = p1 & _LO32
+        c2 = p0 >> _S32
+        c2 ^= c3
+        c2 ^= rk1
+        c3 = p0 & _LO32
+    return c0, c1, c2, c3
 
 
 def philox4x32(c0, c1, c2, c3, k0, k1):
@@ -34,32 +66,22 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
 
     The counter words are uint32 arrays (or scalars) of a common
     broadcast shape; the two key words are integer scalars.  Returns
-    the four output words as uint32 arrays.  The per-round key schedule
-    is precomputed in exact integer arithmetic (the bumps wrap mod 2^32).
+    the four output words as uint32 arrays.
     """
-    c0 = np.asarray(c0, dtype=np.uint32)
-    c1 = np.asarray(c1, dtype=np.uint32)
-    c2 = np.asarray(c2, dtype=np.uint32)
-    c3 = np.asarray(c3, dtype=np.uint32)
-    k0 = int(k0)
-    k1 = int(k1)
-    for r in range(_ROUNDS):
-        rk0 = np.uint32((k0 + r * _W0) & 0xFFFFFFFF)
-        rk1 = np.uint32((k1 + r * _W1) & 0xFFFFFFFF)
-        p0 = _M0 * c0.astype(np.uint64)
-        p1 = _M1 * c2.astype(np.uint64)
-        hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-        lo0 = (p0 & _LO32).astype(np.uint32)
-        hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-        lo1 = (p1 & _LO32).astype(np.uint32)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ rk0, lo1, hi0 ^ c3 ^ rk1, lo0
-    return c0, c1, c2, c3
+    words = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint32)
+                                  for c in (c0, c1, c2, c3)))
+    out = _rounds(*(w.astype(np.uint64) for w in words), int(k0), int(k1))
+    return tuple(w.astype(np.uint32) for w in out)
 
 
-def _pair_to_unit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Combine two 32-bit words into one double uniform on (0, 1)."""
-    bits = (a.astype(np.uint64) << np.uint64(21)) | (b.astype(np.uint64) >> np.uint64(11))
-    return (bits.astype(np.float64) + 0.5) * _INV53
+def _store_unit(a: np.ndarray, b: np.ndarray, row: np.ndarray) -> None:
+    """Write (bits53 + 0.5) * 2^-53 into ``row``, where bits53 is the top
+    32 bits of word ``a`` over the top 21 of word ``b``; consumes a and b."""
+    a <<= np.uint64(21)
+    b >>= np.uint64(11)
+    a |= b
+    np.add(a, 0.5, out=row)
+    row *= _INV53
 
 
 def uniform_matrix(seed: int, ids: np.ndarray, n_draws: int) -> np.ndarray:
@@ -77,23 +99,22 @@ def uniform_matrix(seed: int, ids: np.ndarray, n_draws: int) -> np.ndarray:
     Returns
     -------
     (len(ids), n_draws) float64 array with entries in the open interval
-    (0, 1).  Entry [i, d] depends only on (seed, ids[i], d).
+    (0, 1).  Entry [i, d] depends only on (seed, ids[i], d).  The array is
+    the transposed view of a draw-major (n_draws, len(ids)) buffer: each
+    column ``[:, d]`` is contiguous, and the result is not C-contiguous,
+    so callers that need row-major memory must copy.
     """
-    ids = np.asarray(ids)
-    n = ids.shape[0]
+    ids = np.asarray(ids).astype(np.uint64)
     seed = int(seed)
-    k0 = np.uint32(seed & 0xFFFFFFFF)
-    k1 = np.uint32((seed >> 32) & 0xFFFFFFFF)
-    id_lo = (ids.astype(np.uint64) & _LO32).astype(np.uint32)
-    id_hi = (ids.astype(np.uint64) >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros(n, dtype=np.uint32)
+    k0, k1 = seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF
+    id_lo = ids & _LO32
+    id_hi = ids >> _S32
 
-    out = np.empty((n, n_draws))
-    n_blocks = (n_draws + 1) // 2
-    for j in range(n_blocks):
-        block = np.full(n, j, dtype=np.uint32)
-        w0, w1, w2, w3 = philox4x32(block, id_lo, id_hi, zero, k0, k1)
-        out[:, 2 * j] = _pair_to_unit(w0, w1)
+    out = np.empty((n_draws, ids.shape[0]))
+    for j in range((n_draws + 1) // 2):
+        w0, w1, w2, w3 = _rounds(np.uint64(j), id_lo, id_hi, np.uint64(0),
+                                 k0, k1)
+        _store_unit(w0, w1, out[2 * j])
         if 2 * j + 1 < n_draws:
-            out[:, 2 * j + 1] = _pair_to_unit(w2, w3)
-    return out
+            _store_unit(w2, w3, out[2 * j + 1])
+    return out.T

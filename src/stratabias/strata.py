@@ -103,14 +103,22 @@ class MemberTable:
 def stratum_members(blocks: Iterable[SubjectData],
                     labels: tuple[StratumLabel, ...]) -> MemberTable:
     """One pass over id-ordered blocks, keeping only the subjects in any
-    of ``labels``; each block can be dropped once it has been read."""
-    kept = []
+    of ``labels``; each block can be dropped once it has been read.  The
+    columns are joined one at a time, each dropping its parts, so the
+    table is never held twice."""
+    parts = ([], [], [])
     for block in blocks:
         keep = np.zeros(len(block), dtype=bool)
         for label in labels:
             keep |= members(block, label)
-        kept.append((block.ids[keep], block.a[keep], block.diff[keep]))
-    return MemberTable(*(np.concatenate(col) for col in zip(*kept)))
+        for col, values in zip(parts, (block.ids, block.a, block.diff)):
+            col.append(values[keep])
+        del block, keep  # free before the next block is generated
+    columns = []
+    for col in parts:
+        columns.append(np.concatenate(col))
+        col.clear()
+    return MemberTable(*columns)
 
 
 def exact_mean(values: np.ndarray) -> float:
@@ -148,7 +156,9 @@ def oracle_effect(data: SubjectData | MemberTable,
     """
     mask, m = _nonempty(data, label)
     d = data.diff[mask]
-    d = d[np.argsort(data.ids[mask])]  # canonical order: permutation-proof SE
+    ids = data.ids
+    if not np.all(ids[1:] > ids[:-1]):  # id order: permutation-proof SE
+        d = d[np.argsort(ids[mask])]
     value = exact_mean(d)
     se = float(np.std(d, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
     return EffectEstimate(value=value, se=se, n_members=m, stratum=label)
