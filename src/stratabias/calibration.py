@@ -27,6 +27,13 @@ The split rounds and the plug-in estimator's bootstrap resamples run
 through one replicate loop: per-replicate RNG streams, skipped failures,
 and a single 10% failure limit.
 
+Both warm-start the plug-in's arm-1 visit fits: a bootstrap resample
+from the full-data fit, a split round from one fixed fit on the even id
+ranks of the control arm (``_split_start``).  That fit draws nothing, so
+offsets still do not depend on threads or record order; if it fails,
+the rounds start cold from 0.  Warm and cold fits reach the same maximum
+to the gradient tolerance, so offsets differ in the last digits only.
+
 The control-arm outcome model in the plug-in estimator wants outcomes
 recorded regardless of adherence; when outcomes are censored at dropout
 the model is fit on adherers only and inherits their selection tilt.
@@ -34,6 +41,7 @@ the model is fit on adherers only and inherits their selection tilt.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -130,33 +138,51 @@ class SplitCalibration:
 
 
 def _loglik(eta: np.ndarray, r: np.ndarray) -> float:
-    softplus = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0)
+    # softplus(eta) = log1p(exp(-|eta|)) + max(eta, 0), built in place
+    softplus = np.abs(eta)
+    np.negative(softplus, out=softplus)
+    np.exp(softplus, out=softplus)
+    np.log1p(softplus, out=softplus)
+    softplus += np.maximum(eta, 0.0)
     return float((r * eta).sum() - softplus.sum())
 
 
-def _irls(x: np.ndarray, z: np.ndarray, r: np.ndarray, what: str):
+def _irls(x: np.ndarray, z: np.ndarray, r: np.ndarray, what: str,
+          start=None):
     """Newton/IRLS fit of logit Pr(r = 1) = b0 + b1*x + b2*z.
 
-    Returns (beta, se, loglik_path, iterations, converged).  Updates are
-    accepted only when the log-likelihood does not decrease beyond
-    summation roundoff (slack 1e-8 on a sum of thousands of terms), so
-    the reported path is non-decreasing at float resolution; without the
-    slack the line search stalls in the endgame, where full Newton steps
-    still shrink the gradient but move the log-likelihood by under an ulp.
+    Returns (beta, se, loglik_path, iterations, converged).  Newton starts
+    from ``start`` (b0, b1, b2) when given, else from 0, and the path from
+    the log-likelihood there.  Updates are accepted only when the
+    log-likelihood does not decrease beyond summation roundoff (slack
+    1e-8 on a sum of thousands of terms), so the reported path is
+    non-decreasing at float resolution; without the slack the line search
+    stalls in the endgame, where full Newton steps still shrink the
+    gradient but move the log-likelihood by under an ulp.
     """
-    beta = np.zeros(3)
-    eta = np.zeros_like(x)
+    if start is None:
+        beta = np.zeros(3)
+        eta = np.zeros_like(x)
+    else:
+        beta = np.array(start, dtype=float)
+        eta = beta[0] + beta[1] * x + beta[2] * z
     ll = _loglik(eta, r)
     path = [ll]
     converged = False
     for it in range(_MAX_ITER + 1):
         # the information at the final beta also gives the SEs
         mu = expit(eta)
-        w = mu * (1.0 - mu)
-        res = r - mu
-        sx, sz, sxz = (w * x).sum(), (w * z).sum(), (w * x * z).sum()
-        info = np.array([[w.sum(), sx, sz], [sx, (w * x * x).sum(), sxz],
-                         [sz, sxz, (w * z * z).sum()]])
+        w = 1.0 - mu
+        w *= mu
+        res = np.subtract(r, mu, out=mu)
+        wx = w * x  # numpy forms w*x*x as (w*x)*x: the same bits
+        sx, sxx, sxz = wx.sum(), (wx * x).sum(), (wx * z).sum()
+        del wx
+        wz = w * z
+        sz, szz = wz.sum(), (wz * z).sum()
+        del wz
+        info = np.array([[w.sum(), sx, sz], [sx, sxx, sxz],
+                         [sz, sxz, szz]])
         grad = np.array([res.sum(), (res * x).sum(), (res * z).sum()])
         if it == _MAX_ITER or float(np.max(np.abs(grad))) <= _GRAD_TOL:
             converged = it < _MAX_ITER
@@ -167,7 +193,7 @@ def _irls(x: np.ndarray, z: np.ndarray, r: np.ndarray, what: str):
             raise SeparationError(
                 f"quasi-separation while fitting {what}: "
                 "singular information matrix") from None
-        del mu, w, res  # free three columns before the line search
+        del mu, w, res  # free two columns before the line search
         for _ in range(40):
             cand = beta + step
             eta_new = cand[0] + cand[1] * x + cand[2] * z
@@ -193,7 +219,8 @@ def _irls(x: np.ndarray, z: np.ndarray, r: np.ndarray, what: str):
     return beta, se, tuple(path), len(path) - 1, converged
 
 
-def fit_sequential_logistic(observed: ObservedData, arm: int) -> LogisticFit:
+def fit_sequential_logistic(observed: ObservedData, arm: int,
+                            start: LogisticFit | None = None) -> LogisticFit:
     """Per-visit adherence model for one arm, by maximum likelihood.
 
     The at-risk set for visit k is everyone still adherent after visit
@@ -201,7 +228,8 @@ def fit_sequential_logistic(observed: ObservedData, arm: int) -> LogisticFit:
     through visit k (z_{k+1} recorded, or final adherence at the last
     visit).  Within an arm any arm-level intercept shift is absorbed
     into g0.  Each visit's ``z_line`` is fitted on the same at-risk
-    subjects.
+    subjects.  ``start``, a fit with the same visits, gives each visit's
+    Newton starting point; without it Newton starts from 0.
     """
     # integer gathers: several times faster than by a scattered bool mask
     idx = np.flatnonzero(observed.t == arm)
@@ -217,7 +245,8 @@ def fit_sequential_logistic(observed: ObservedData, arm: int) -> LogisticFit:
         resp = (~np.isnan(z[:, k + 1][at_risk]) if k + 1 < observed.K
                 else a[at_risk] == 1)
         xk, zk = x[at_risk], z[:, k][at_risk]
-        beta, se, path, _, conv = _irls(xk, zk, resp, what)
+        guess = None if start is None else start.visits[k].coef
+        beta, se, path, _, conv = _irls(xk, zk, resp, what, guess)
         visits.append(VisitFit(
             visit=k + 1, coef=tuple(map(float, beta)),
             se=tuple(map(float, se)), n_at_risk=m, loglik_path=path,
@@ -287,11 +316,13 @@ def _adherer_outcomes(observed: ObservedData, arm: int) -> np.ndarray:
     return y
 
 
-def _plugin_point(observed: ObservedData) -> float:
+def _plugin_point(observed: ObservedData,
+                  start: LogisticFit | None = None) -> float:
+    """The plug-in point value; ``start`` warm-starts the arm-1 fit."""
     term1 = exact_mean(_adherer_outcomes(observed, 1))
 
     m0 = fit_outcome_baseline(observed, arm=0)
-    fit = fit_sequential_logistic(observed, arm=1)
+    fit = fit_sequential_logistic(observed, arm=1, start=start)
     pi = _marginal_pi(observed.x, fit)
     total = float(pi.sum())
     if total <= 0.0:
@@ -361,6 +392,7 @@ def estimate_plugin(observed: ObservedData, *, seed: int = 0,
     the control response on adherence under the other arm.  ``seed``
     drives only the SE, a subject-level bootstrap whose resample b draws
     from the RNG stream [seed, b] (n_boot >= 2 resamples, one thread);
+    each resample's arm-1 fit starts from the full-data fit.
     compute_se=False gives the point value alone (se is NaN).  Resamples
     that fail to fit are skipped; more than 10% raises EstimatorError.
     """
@@ -368,19 +400,31 @@ def estimate_plugin(observed: ObservedData, *, seed: int = 0,
     se = float("nan")
     if compute_se:
         n = len(observed)
+        start = fit_sequential_logistic(observed, arm=1)
         vals, _ = _replicate(
-            lambda rng: _plugin_point(observed.subset(rng.integers(0, n, n))),
+            lambda rng: _plugin_point(observed.subset(rng.integers(0, n, n)),
+                                      start),
             seed, n_boot, 1, "n_boot", EstimatorError)
         se = float(np.std(vals, ddof=1))
     return EffectEstimate(value=value, se=se, n_members=len(observed),
                           stratum=S_TREATED)
 
 
-# "plugin" looks up ``_plugin_point`` per call, so a patched one is what runs
-ESTIMATORS: dict[str, Callable[[ObservedData], float]] = {
+# "plugin" looks up ``_plugin_point`` per call, so a patched one is what
+# runs; it also takes the warm start that ``split_calibrate`` passes it
+ESTIMATORS: dict[str, Callable[..., float]] = {
     "naive": lambda obs: estimate_naive(obs).value,
-    "plugin": lambda obs: _plugin_point(obs),
+    "plugin": lambda obs, start=None: _plugin_point(obs, start),
 }
+
+
+def _split_start(canon: ObservedData) -> LogisticFit:
+    """The plug-in split rounds' warm start: the arm-1 visit fit with the
+    even id ranks of the id-ordered control arm ``canon`` as pseudo arm 1.
+    It draws nothing, and like a round it fits about half the arm."""
+    t_start = np.zeros(len(canon), dtype=np.int8)
+    t_start[::2] = 1
+    return fit_sequential_logistic(canon.relabeled(t_start), arm=1)
 
 
 def split_calibrate(observed_control: ObservedData,
@@ -399,7 +443,8 @@ def split_calibrate(observed_control: ObservedData,
     CalibrationError.  A round's one random draw is its split, from the
     RNG stream [seed, round] (the plug-in's pi(x) is a Gauss-Hermite
     quadrature), so results do not depend on scheduling; rounds run on
-    ``threads`` (>= 1) worker threads.
+    ``threads`` (>= 1) worker threads.  "plugin" rounds are warm-started
+    (see the module docstring).
     """
     if isinstance(estimator, str):
         try:
@@ -417,8 +462,16 @@ def split_calibrate(observed_control: ObservedData,
     if n < 4:
         raise ValueError(f"need at least 4 control subjects, got {n}")
 
-    canon = observed_control.subset(np.argsort(observed_control.ids))
+    ids = observed_control.ids
+    canon = (observed_control if np.all(ids[1:] > ids[:-1])
+             else observed_control.subset(np.argsort(ids)))
     half = n // 2
+    if estimator == "plugin":
+        try:
+            start = _split_start(canon)
+        except FitError:
+            start = None
+        fn = functools.partial(fn, start=start)
 
     def one(rng: np.random.Generator) -> float:
         t_new = np.zeros(n, dtype=np.int8)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -120,6 +122,125 @@ def test_irls_matches_dense_newton():
     np.testing.assert_allclose(se, np.sqrt(np.diag(np.linalg.inv(info))),
                                rtol=1e-10)
     np.testing.assert_allclose(path, ref_path, rtol=1e-12)
+
+
+def _reference_loglik(eta, r):
+    softplus = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0)
+    return float((r * eta).sum() - softplus.sum())
+
+
+def _reference_irls(x, z, r, what):
+    """The Newton/IRLS fit as it was before its step was trimmed."""
+    beta = np.zeros(3)
+    eta = np.zeros_like(x)
+    ll = _reference_loglik(eta, r)
+    path = [ll]
+    converged = False
+    for it in range(calibration._MAX_ITER + 1):
+        mu = expit(eta)
+        w = mu * (1.0 - mu)
+        res = r - mu
+        sx, sz, sxz = (w * x).sum(), (w * z).sum(), (w * x * z).sum()
+        info = np.array([[w.sum(), sx, sz], [sx, (w * x * x).sum(), sxz],
+                         [sz, sxz, (w * z * z).sum()]])
+        grad = np.array([res.sum(), (res * x).sum(), (res * z).sum()])
+        if it == calibration._MAX_ITER \
+                or float(np.max(np.abs(grad))) <= calibration._GRAD_TOL:
+            converged = it < calibration._MAX_ITER
+            break
+        try:
+            step = np.linalg.solve(info, grad)
+        except np.linalg.LinAlgError:
+            raise SeparationError(
+                f"quasi-separation while fitting {what}: "
+                "singular information matrix") from None
+        del mu, w, res
+        for _ in range(40):
+            cand = beta + step
+            eta_new = cand[0] + cand[1] * x + cand[2] * z
+            ll_new = _reference_loglik(eta_new, r)
+            if ll_new >= ll - calibration._LL_SLACK:
+                break
+            step = 0.5 * step
+        else:
+            break
+        beta, eta, ll = cand, eta_new, ll_new
+        path.append(ll)
+        if float(np.max(np.abs(beta))) > calibration._COEF_CAP:
+            raise SeparationError(
+                f"quasi-separation while fitting {what}: "
+                f"|coefficient| exceeded {calibration._COEF_CAP:g}")
+    try:
+        cov = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        raise SeparationError(
+            f"quasi-separation while fitting {what}: "
+            "singular information matrix at the fit") from None
+    se = np.sqrt(np.diag(cov))
+    return beta, se, tuple(path), len(path) - 1, converged
+
+
+def _outcome(fit, *args):
+    """A fit's result, or the type and message of the error it raised."""
+    try:
+        return fit(*args)
+    except SeparationError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_fit(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, tuple) and len(want) == 2:  # (error type, message)
+        assert got == want
+        return
+    beta, se, path, iters, conv = got
+    assert beta.tobytes() == want[0].tobytes()
+    assert se.tobytes() == want[1].tobytes()
+    assert np.asarray(path).tobytes() == np.asarray(want[2]).tobytes()
+    assert (iters, conv) == (want[3], want[4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(10, 5_000), seed=st.integers(0, 2**32 - 1),
+       coef=st.tuples(st.floats(-3, 3), st.floats(-2, 2), st.floats(-4, 4)),
+       scale=st.sampled_from([0.1, 1.0, 3.0]),
+       as_bool=st.booleans())
+def test_irls_is_bitwise_the_reference(m, seed, coef, scale, as_bool):
+    """The trimmed Newton step forms the same products in the same order:
+    beta, SEs, log-likelihood path and step count keep every bit."""
+    rng = np.random.default_rng(seed)
+    x, z = rng.normal(size=m), scale * rng.normal(size=m)
+    r = rng.random(m) < expit(coef[0] + coef[1] * x + coef[2] * z)
+    if not as_bool:
+        r = r.astype(float)
+    _assert_same_fit(_outcome(calibration._irls, x, z, r, "v"),
+                     _outcome(_reference_irls, x, z, r, "v"))
+
+
+def test_irls_near_separation_raises_as_the_reference():
+    rng = np.random.default_rng(7)
+    x, z = rng.normal(size=500), rng.normal(size=500)
+    r = z > 0  # separated by z's sign: the MLE walks out to infinity
+    got = _outcome(calibration._irls, x, z, r, "visit 2 in arm 1")
+    assert got[0] is SeparationError
+    assert got == _outcome(_reference_irls, x, z, r, "visit 2 in arm 1")
+
+
+def test_irls_from_a_start_reaches_the_same_maximum():
+    obs = trial(20_000, seed=54)
+    rows = obs.t == 1
+    x, z = obs.x[rows], obs.z[rows, 0]
+    r = ~np.isnan(obs.z[rows, 1])
+    cold = calibration._irls(x, z, r, "visit 1")
+    half = calibration._irls(x[::2], z[::2], r[::2], "half of visit 1")[0]
+    warm = calibration._irls(x, z, r, "visit 1", start=half)
+    assert warm[4] and warm[3] < cold[3]
+    np.testing.assert_allclose(warm[0], cold[0], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(warm[1], cold[1], rtol=1e-7)
+    # from the maximum itself: no step, and the cold fit's exact bits
+    again = calibration._irls(x, z, r, "visit 1", start=cold[0])
+    assert again[3] == 0 and again[0].tobytes() == cold[0].tobytes()
+    assert again[1].tobytes() == cold[1].tobytes()
 
 
 def test_outcome_baseline_satisfies_normal_equations():
@@ -249,11 +370,11 @@ def test_plugin_bootstrap_failure_limit(monkeypatch):
     def failing_resamples(bad):
         calls = {"n": 0}
 
-        def point(sub):
+        def point(sub, start=None):
             calls["n"] += 1  # call 1 is the point value, then resamples
             if calls["n"] - 2 in bad:
                 raise FitError("synthetic failure")
-            return real_point(sub)
+            return real_point(sub, start)
         return point
 
     monkeypatch.setattr(calibration, "_plugin_point",
@@ -305,6 +426,71 @@ def test_split_plugin_offsets_are_order_free():
     # and thread-free: each round's arithmetic is the same on any worker
     assert split_calibrate(ctrl, "plugin", R=4, seed=9, threads=2).offsets \
         == base.offsets
+
+
+def _cold_plugin(obs):
+    """A custom estimator: the plug-in point with its fits started at 0."""
+    return calibration._plugin_point(obs)
+
+
+@pytest.mark.parametrize("name", ["full_null_demo", "partial_null_gamma2"])
+def test_split_warm_rounds_match_cold_rounds(name, monkeypatch):
+    """Each warm-started round lands on its cold round's offset to 1e-12,
+    in fewer Newton steps summed over the rounds' visit fits."""
+    cfg = dataclasses.replace(load_bundled(name), n=42_000, seed=61)
+    obs = observe(generate(cfg))
+    ctrl = obs.subset(obs.t == 0)
+    assert len(ctrl) >= 20_000
+
+    real_fit = calibration.fit_sequential_logistic
+    steps = {True: 0, False: 0}
+
+    def counting_fit(observed, arm, start=None):
+        fit = real_fit(observed, arm, start=start)
+        steps[start is not None] += sum(v.iterations for v in fit.visits)
+        return fit
+
+    monkeypatch.setattr(calibration, "fit_sequential_logistic", counting_fit)
+    warm = split_calibrate(ctrl, "plugin", R=8, seed=3)
+    warm_steps, steps[True], steps[False] = steps[True], 0, 0
+    cold = split_calibrate(ctrl, _cold_plugin, R=8, seed=3)
+    assert steps[True] == 0 and 0 < warm_steps < steps[False]
+    assert warm.n_failed == cold.n_failed == 0
+    np.testing.assert_allclose(warm.offsets, cold.offsets, rtol=0,
+                               atol=1e-12)
+
+
+def test_split_without_a_start_fit_runs_cold(monkeypatch):
+    ctrl = control_arm(20_000, seed=62)
+    cold = split_calibrate(ctrl, _cold_plugin, R=4, seed=4)
+
+    def no_start(canon):
+        raise FitError("synthetic start failure")
+
+    monkeypatch.setattr(calibration, "_split_start", no_start)
+    fallback = split_calibrate(ctrl, "plugin", R=4, seed=4)
+    assert fallback.offsets == cold.offsets
+    assert fallback.n_failed == cold.n_failed == 0
+
+
+def test_calibrate_fit_csv_is_the_cold_fit(tmp_path, monkeypatch, capsys):
+    """The CLI's own arm-1 fit, written to fit.csv, is never warm-started."""
+    path = tmp_path / "scenario.json"
+    doc = load_bundled("partial_null_gamma2").to_dict()
+    doc.update(n=20_000, seed=8)
+    path.write_text(json.dumps(doc))
+    argv = ["calibrate", str(path), "--R", "4"]
+    assert cli_main(argv + ["--out", str(tmp_path / "warm")]) == 0
+
+    def no_start(canon):
+        raise FitError("synthetic start failure")
+
+    monkeypatch.setattr(calibration, "_split_start", no_start)
+    assert cli_main(argv + ["--out", str(tmp_path / "cold")]) == 0
+    capsys.readouterr()
+    warm, cold = ((tmp_path / side / "fit.csv").read_bytes()
+                  for side in ("warm", "cold"))
+    assert warm == cold
 
 
 def test_split_failure_accounting():

@@ -13,22 +13,30 @@ directory.  Per invocation it compares:
   the work directory replaced by placeholders;
 - whether the output directory exists afterwards;
 - the SHA-256 of every file in it, with ``manifest.json`` hashed
-  without its ``timestamp`` and ``duration_seconds``.
+  without its ``timestamp`` and ``duration_seconds``;
+- for each CSV whose SHA-256 differs, the column and row of the largest
+  absolute and of the largest relative difference between numeric
+  cells, so that a move in the last digits can be told from a real
+  change.
 
 The list covers every bundled scenario through ``simulate`` and through
 ``true-effect`` with each ``--method``, ``true-effect --method
 quadrature`` off the outcome null (``beta2 = 0.3``), ``calibrate`` with
 both estimators, three runs that fail after their scenario loads, one that
 ``calibrate`` rejects as a usage error (``--no-keep-y``: it always keeps
-outcomes), and ``paper-demo`` with and without ``--seed``.  Outputs are deleted once hashed.  It
-takes a few minutes on two cores and is not part of the test suite.  Exit status: 0 when every run matches, 1 otherwise.
+outcomes), and ``paper-demo`` with and without ``--seed``.  Outputs are
+deleted once compared.  It takes a few minutes on two cores and is not
+part of the test suite.  Exit status: 0 when every run matches, 1
+otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -105,11 +113,46 @@ def run_one(root: Path, args: list, work: Path, out: Path) -> dict:
         return text
 
     record = {"exit code": got.returncode, "stdout": normal(got.stdout),
-              "stderr": normal(got.stderr), "out exists": out.exists()}
+              "stderr": normal(got.stderr), "out exists": out.exists(),
+              "out": out}
     if out.exists():
         record["outputs"] = {p.name: _digest(p) for p in sorted(out.iterdir())}
-        shutil.rmtree(out)
     return record
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_moves(path_a: Path, path_b: Path) -> str:
+    """Where two CSVs with the same header differ most: the column and
+    (1-based data) row of the largest absolute and of the largest relative
+    difference between cells that both parse as numbers."""
+    worst = {"abs": (0.0, None), "rel": (0.0, None)}
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        rows_a, rows_b = csv.reader(fa), csv.reader(fb)
+        header = next(rows_a, None)
+        if header != next(rows_b, None):
+            return "headers differ"
+        pairs = itertools.zip_longest(rows_a, rows_b)
+        for row, (ra, rb) in enumerate(pairs, start=1):
+            if ra is None or rb is None:
+                return "row counts differ"
+            for col, ca, cb in zip(header, ra, rb):
+                va, vb = _number(ca), _number(cb)
+                if ca == cb or va is None or vb is None:
+                    continue
+                gap = abs(va - vb)
+                for kind, size in (("abs", gap),
+                                   ("rel", gap / max(abs(va), abs(vb)))):
+                    if not size <= worst[kind][0]:  # NaN counts as largest
+                        worst[kind] = (size, f"{col} row {row}")
+    moves = [f"largest {kind} diff {size:.3g} at {where}"
+             for kind, (size, where) in worst.items() if where is not None]
+    return ", ".join(moves) or "no numeric cell differs"
 
 
 def differences(a: dict, b: dict) -> list[str]:
@@ -128,6 +171,9 @@ def differences(a: dict, b: dict) -> list[str]:
         if outs_a.get(name) != outs_b.get(name):
             lines.append(f"{name}: sha256 {outs_a.get(name)} != "
                          f"{outs_b.get(name)}")
+            if name.endswith(".csv") and name in outs_a and name in outs_b:
+                lines.append(f"{name}: "
+                             + csv_moves(a["out"] / name, b["out"] / name))
     return lines
 
 
@@ -152,6 +198,9 @@ def main(argv=None) -> int:
             records = [run_one(root, run_args, work, work / f"{side}{i}")
                        for side, root in (("base", base), ("new", new))]
             diff = differences(*records)
+            for record in records:
+                if record["out exists"]:
+                    shutil.rmtree(record["out"])
             n_diff += bool(diff)
             codes = "/".join(str(r["exit code"]) for r in records)
             print(f"{'DIFF' if diff else 'same'}  {run_id} (exit {codes})")
