@@ -10,8 +10,8 @@ data only (one arm per subject):
   adherer mean and term2 a marginal-adherence-weighted average of a
   fitted control-arm outcome model over all subjects.  The adherence
   weight pi(x) marginalizes the fitted sequential-logistic visit model
-  over the intermediates by Gauss-Hermite quadrature, so the point
-  value is a deterministic function of the data.
+  over the intermediates by Gauss-Hermite quadrature, and its SE is an
+  influence-function sandwich: both are deterministic in the data.
 
 ``split_calibrate`` implements the null-calibration idea: repeatedly
 split the control arm at random into two pseudo-arms, run an estimator
@@ -23,17 +23,6 @@ the experimental arm without touching the outcome pathway (gamma2 != 0)
 is invisible to it - that regime is where the calibrated reference
 stops matching the true stratum effect.
 
-The split rounds and the plug-in estimator's bootstrap resamples run
-through one replicate loop: per-replicate RNG streams, skipped failures,
-and a single 10% failure limit.
-
-Both warm-start the plug-in's arm-1 visit fits: a bootstrap resample
-from the full-data fit, a split round from one fixed fit on the even id
-ranks of the control arm (``_split_start``).  That fit draws nothing, so
-offsets still do not depend on threads or record order; if it fails,
-the rounds start cold from 0.  Warm and cold fits reach the same maximum
-to the gradient tolerance, so offsets differ in the last digits only.
-
 The control-arm outcome model in the plug-in estimator wants outcomes
 recorded regardless of adherence; when outcomes are censored at dropout
 the model is fit on adherers only and inherits their selection tilt.
@@ -44,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -231,27 +220,32 @@ def fit_sequential_logistic(observed: ObservedData, arm: int,
     subjects.  ``start``, a fit with the same visits, gives each visit's
     Newton starting point; without it Newton starts from 0.
     """
-    # integer gathers: several times faster than by a scattered bool mask
-    idx = np.flatnonzero(observed.t == arm)
-    x, z, a = observed.x[idx], observed.z.take(idx, axis=0), observed.a[idx]
     visits = []
-    for k in range(observed.K):
-        what = f"visit {k + 1} in arm {arm}"
-        at_risk = np.flatnonzero(~np.isnan(z[:, k]))
-        m = at_risk.size
-        if m < _MIN_AT_RISK:
-            raise FitError(f"{what}: only {m} at-risk subjects "
-                           f"(need >= {_MIN_AT_RISK})")
-        resp = (~np.isnan(z[:, k + 1][at_risk]) if k + 1 < observed.K
-                else a[at_risk] == 1)
-        xk, zk = x[at_risk], z[:, k][at_risk]
+    for k, (what, at_risk, xk, zk, resp) in enumerate(_visits(observed, arm)):
         guess = None if start is None else start.visits[k].coef
         beta, se, path, _, conv = _irls(xk, zk, resp, what, guess)
         visits.append(VisitFit(
             visit=k + 1, coef=tuple(map(float, beta)),
-            se=tuple(map(float, se)), n_at_risk=m, loglik_path=path,
-            converged=conv, z_line=_line(xk, zk, f"z line of {what}")))
+            se=tuple(map(float, se)), n_at_risk=at_risk.size,
+            loglik_path=path, converged=conv,
+            z_line=_line(xk, zk, f"z line of {what}")))
     return LogisticFit(visits=tuple(visits))
+
+
+def _visits(observed: ObservedData, arm: int):
+    """Yield (what, at_risk, x, z_k, response) per visit of ``arm``."""
+    # integer gathers: several times faster than by a scattered bool mask
+    idx = np.flatnonzero(observed.t == arm)
+    x, z, a = observed.x[idx], observed.z.take(idx, axis=0), observed.a[idx]
+    for k in range(observed.K):
+        what = f"visit {k + 1} in arm {arm}"
+        at_risk = np.flatnonzero(~np.isnan(z[:, k]))
+        if at_risk.size < _MIN_AT_RISK:
+            raise FitError(f"{what}: only {at_risk.size} at-risk subjects "
+                           f"(need >= {_MIN_AT_RISK})")
+        resp = (~np.isnan(z[:, k + 1][at_risk]) if k + 1 < observed.K
+                else a[at_risk] == 1)
+        yield what, at_risk, x[at_risk], z[:, k][at_risk], resp
 
 
 def _line(x: np.ndarray, y: np.ndarray, what: str):
@@ -331,37 +325,6 @@ def _plugin_point(observed: ObservedData,
     return term1 - term2
 
 
-def _replicate(one: Callable[[np.random.Generator], float], seed: int,
-               count: int, threads: int, name: str,
-               error: type[Exception]) -> tuple[np.ndarray, int]:
-    """Run ``one`` on ``count`` replicates; return (values, failed count).
-
-    Replicate i gets the RNG stream [seed, i], so its value does not
-    depend on ``threads``, the size of the worker pool.  Replicates
-    raising FitError or EstimatorError are skipped; more than 10% of
-    them failing raises ``error``.  ``name`` is the caller's parameter
-    holding ``count``, for messages.
-    """
-    if count < 2:
-        raise ValueError(f"{name} must be >= 2, got {count}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-    def run(i: int):
-        try:
-            return one(np.random.default_rng([seed, i])), None
-        except (FitError, EstimatorError) as exc:
-            return None, f"replicate {i}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run, range(count)))
-    failures = [msg for _, msg in results if msg is not None]
-    if len(failures) * 10 > count:
-        raise error(f"{len(failures)} of {name}={count} replicates failed "
-                    f"(limit 10%); first: {failures[0]}")
-    return np.asarray([v for v, _ in results if v is not None]), len(failures)
-
-
 def estimate_naive(observed: ObservedData) -> EffectEstimate:
     """Adherers-vs-adherers mean difference with a two-sample SE.
 
@@ -380,34 +343,59 @@ def estimate_naive(observed: ObservedData) -> EffectEstimate:
                           n_members=n0 + n1, stratum=None)
 
 
-def estimate_plugin(observed: ObservedData, *, seed: int = 0,
-                    n_boot: int = 200,
-                    compute_se: bool = True) -> EffectEstimate:
+def estimate_plugin(observed: ObservedData) -> EffectEstimate:
     """Plug-in estimate of the treated-adherent stratum effect.
 
     term1 is the experimental-arm adherer mean.  term2 averages the
     fitted control-arm outcome line over ALL subjects, weighted by each
     subject's marginal adherence probability under arm 1 (by quadrature,
     see ``_marginal_pi``) - the observed-data counterpart of conditioning
-    the control response on adherence under the other arm.  ``seed``
-    drives only the SE, a subject-level bootstrap whose resample b draws
-    from the RNG stream [seed, b] (n_boot >= 2 resamples, one thread);
-    each resample's arm-1 fit starts from the full-data fit.
-    compute_se=False gives the point value alone (se is NaN).  Resamples
-    that fail to fit are skipped; more than 10% raises EstimatorError.
+    the control response on adherence under the other arm.  The SE is
+    sqrt(sum psi_i^2)/n, psi_i subject i's influence: term1's and term2's
+    ratio terms, and each fit's influence times term2's gradient in it.
     """
     value = _plugin_point(observed)
-    se = float("nan")
-    if compute_se:
-        n = len(observed)
-        start = fit_sequential_logistic(observed, arm=1)
-        vals, _ = _replicate(
-            lambda rng: _plugin_point(observed.subset(rng.integers(0, n, n)),
-                                      start),
-            seed, n_boot, 1, "n_boot", EstimatorError)
-        se = float(np.std(vals, ddof=1))
-    return EffectEstimate(value=value, se=se, n_members=len(observed),
-                          stratum=S_TREATED)
+    x, y = observed.x, observed.y
+    rows = (observed.t == 1) & (observed.a == 1) & ~np.isnan(y)
+    infl = np.where(rows, y - exact_mean(y[rows]), 0.0) / rows.sum()  # psi/n
+    fit = fit_sequential_logistic(observed, arm=1)
+    m = fit_outcome_baseline(observed, arm=0).predict(x)
+    params = np.array([v.coef + v.z_line for v in fit.visits])
+
+    def term2(j: int = 0, h: float = 0.0):  # (term2, pi) at params[j] + h
+        p = params.copy()
+        p.flat[j] += h
+        pi = _marginal_pi(x, LogisticFit(visits=tuple(
+            replace(v, coef=tuple(q[:3]), z_line=tuple(q[3:]))
+            for v, q in zip(fit.visits, p))))
+        return float((pi * m).sum()) / float(pi.sum()), pi
+
+    def fitted(rows, cols, res, w, grad) -> None:
+        """infl -= grad . info^-1 x score, for the fit sum(col * res) = 0."""
+        info = np.array([[(w * u * v).sum() for v in cols] for u in cols])
+        c = np.linalg.solve(info, grad)
+        infl[rows] -= res * sum(ci * u for ci, u in zip(c, cols))
+
+    t2, pi = term2()
+    infl -= pi * (m - t2) / float(pi.sum())
+    rows = np.flatnonzero((observed.t == 0) & ~np.isnan(y))
+    # d term2 / d(intercept, slope) = (1, pi-weighted mean of x)
+    fitted(rows, (np.ones(rows.size), x[rows]), y[rows] - m[rows], 1.0,
+           (1.0, float((pi * x).sum()) / float(pi.sum())))
+    steps = 1e-5 * np.maximum(1.0, np.abs(params.ravel()))  # central diffs
+    grad = np.reshape([(term2(j, h)[0] - term2(j, -h)[0]) / (2.0 * h)
+                       for j, h in enumerate(steps)], params.shape)
+    arm1 = np.flatnonzero(observed.t == 1)
+    for (_, at_risk, xk, zk, resp), p, g in zip(_visits(observed, 1),
+                                                params, grad):
+        rows, cols = arm1[at_risk], (np.ones(at_risk.size), xk, zk)
+        mu = expit(p[0] + p[1] * xk + p[2] * zk)
+        fitted(rows, cols, resp - mu, mu * (1.0 - mu), g[:3])
+        e = zk - (p[3] + p[4] * xk)  # the z line: OLS, then its SD
+        fitted(rows, cols[:2], e, 1.0, g[3:5])
+        infl[rows] -= g[5] * (e * e - p[5] ** 2) / (2 * p[5] * (rows.size - 2))
+    return EffectEstimate(value=value, se=math.sqrt((infl * infl).sum()),
+                          n_members=len(observed), stratum=S_TREATED)
 
 
 # "plugin" looks up ``_plugin_point`` per call, so a patched one is what
@@ -420,8 +408,10 @@ ESTIMATORS: dict[str, Callable[..., float]] = {
 
 def _split_start(canon: ObservedData) -> LogisticFit:
     """The plug-in split rounds' warm start: the arm-1 visit fit with the
-    even id ranks of the id-ordered control arm ``canon`` as pseudo arm 1.
-    It draws nothing, and like a round it fits about half the arm."""
+    even id ranks of the id-ordered control arm ``canon`` as pseudo arm 1,
+    about half the arm like a round.  It draws nothing, so offsets do not
+    depend on threads or record order; warm and cold fits reach the same
+    maximum to the gradient tolerance, so they differ in the last digits."""
     t_start = np.zeros(len(canon), dtype=np.int8)
     t_start[::2] = 1
     return fit_sequential_logistic(canon.relabeled(t_start), arm=1)
@@ -434,17 +424,14 @@ def split_calibrate(observed_control: ObservedData,
                     threads: int = 1) -> SplitCalibration:
     """Null-calibrate an estimator by repeated control-arm splitting.
 
-    Each of the R rounds shuffles the control subjects (id-keyed, so
-    record order is irrelevant), relabels floor(n/2) of them as a
+    Each of the R (>= 2) rounds shuffles the control subjects (id-keyed,
+    so record order is irrelevant), relabels floor(n/2) of them as a
     pseudo experimental arm (the extra subject on odd counts stays
     control), and runs the estimator ``(obs) -> float`` on the
-    pseudo-trial.  Offsets are collected over rounds (R >= 2); failed
-    rounds are recorded and skipped, and more than 10% failures raises
-    CalibrationError.  A round's one random draw is its split, from the
-    RNG stream [seed, round] (the plug-in's pi(x) is a Gauss-Hermite
-    quadrature), so results do not depend on scheduling; rounds run on
-    ``threads`` (>= 1) worker threads.  "plugin" rounds are warm-started
-    (see the module docstring).
+    pseudo-trial.  Round i's one random draw is its split, from the RNG
+    stream [seed, i], so offsets do not depend on the ``threads`` (>= 1)
+    workers.  Failed rounds are skipped; over 10% raises CalibrationError.
+    "plugin" rounds start from ``_split_start``, or from 0 if it fails.
     """
     if isinstance(estimator, str):
         try:
@@ -461,6 +448,10 @@ def split_calibrate(observed_control: ObservedData,
     n = len(observed_control)
     if n < 4:
         raise ValueError(f"need at least 4 control subjects, got {n}")
+    if R < 2:
+        raise ValueError(f"R must be >= 2, got {R}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     ids = observed_control.ids
     canon = (observed_control if np.all(ids[1:] > ids[:-1])
@@ -473,17 +464,26 @@ def split_calibrate(observed_control: ObservedData,
             start = None
         fn = functools.partial(fn, start=start)
 
-    def one(rng: np.random.Generator) -> float:
+    def one(i: int):
         t_new = np.zeros(n, dtype=np.int8)
-        t_new[rng.permutation(n)[:half]] = 1
-        return fn(canon.relabeled(t_new))
+        t_new[np.random.default_rng([seed, i]).permutation(n)[:half]] = 1
+        try:
+            return fn(canon.relabeled(t_new)), None
+        except (FitError, EstimatorError) as exc:
+            return None, f"replicate {i}: {exc}"
 
-    arr, n_failed = _replicate(one, seed, R, threads, "R", CalibrationError)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(one, range(R)))
+    failures = [msg for _, msg in results if msg is not None]
+    if len(failures) * 10 > R:
+        raise CalibrationError(f"{len(failures)} of R={R} replicates failed "
+                               f"(limit 10%); first: {failures[0]}")
+    arr = np.asarray([v for v, _ in results if v is not None])
     return SplitCalibration(
         estimator=name, R=R, offsets=tuple(map(float, arr)),
         mean_offset=exact_mean(arr),
         se_offset=float(np.std(arr, ddof=1)) / math.sqrt(len(arr)),
-        n_failed=n_failed)
+        n_failed=len(failures))
 
 
 def write_calibration_csv(rows: list[tuple[str, SplitCalibration]],

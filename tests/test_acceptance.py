@@ -182,7 +182,7 @@ def test_c09_split_calibration_matches_real_trial():
     obs = observe(generate(cfg), keep_y_after_dropout=True)
     cal = split_calibrate(obs.subset(obs.t == 0), estimator="plugin",
                           R=200, seed=91)
-    real = estimate_plugin(obs, seed=91)
+    real = estimate_plugin(obs)
     combined = math.hypot(cal.se_offset, real.se)
     gap = abs(cal.mean_offset - real.value)
     _report(9, f"mean offset {cal.mean_offset:.4f} vs real-trial "

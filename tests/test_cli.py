@@ -303,3 +303,21 @@ def test_calibration_is_independent_of_blas_threads(tmp_path):
             capture_output=True, timeout=600)
     for name in ("calibration.csv", "fit.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_plugin_se_is_independent_of_blas_threads():
+    """The plug-in's value and sandwich SE are bitwise the same whatever
+    BLAS's thread count: every sum over subjects is a numpy sum."""
+    # n = 2e5: OpenBLAS splits a dot product across threads only when it
+    # is long enough for the order of summation to change
+    code = ("from stratabias import estimate_plugin, generate, load_bundled,"
+            " observe\n"
+            "obs = observe(generate(load_bundled('partial_null_gamma2')),"
+            " keep_y_after_dropout=True)\n"
+            "est = estimate_plugin(obs)\n"
+            "print(repr(est.value), repr(est.se))\n")
+    runs = [subprocess.run([sys.executable, "-c", code], check=True,
+                           env=module_env(OPENBLAS_NUM_THREADS=blas),
+                           capture_output=True, text=True, timeout=600).stdout
+            for blas in ("1", "2")]
+    assert runs[0] == runs[1] and "nan" not in runs[0]
