@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import expit
 
 from .datagen import ObservedData, write_table
-from .quadrature import gauss_hermite_normal, visit_factor
+from .quadrature import gauss_hermite_normal, visit_product
 from .strata import S_TREATED, EffectEstimate, exact_mean
 
 _MAX_ITER = 50
@@ -272,28 +272,28 @@ def fit_outcome_baseline(observed: ObservedData, arm: int = 0) -> OutcomeFit:
     return OutcomeFit(intercept=a, slope_x=b, n=m)
 
 
-def _marginal_pi(x_eval: np.ndarray, fit: LogisticFit) -> np.ndarray:
+def _marginal_pi(x_eval: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Marginal adherence probability under arm 1, as a function of x.
 
-    The fitted model draws visit k's intermediate independently given x,
-    Z_k ~ N(az + bz*x, sz^2) from its ``z_line``, so pi(x) is
-    prod_k E[expit(g0 + g1*x + g3*Z_k)]: one Gaussian integral per
-    visit, each by ``visit_factor`` on a _PI_NODES-node rule.  A factor's
+    ``params`` holds the fitted arm-1 visit model, one row
+    (g0, g1, g3, az, bz, sz) per visit: a ``VisitFit``'s ``coef`` and
+    ``z_line``.  The model draws visit k's intermediate independently
+    given x, Z_k ~ N(az + bz*x, sz^2), so pi(x) is
+    prod_k E[expit(g0 + g1*x + g3*Z_k)]: the ``visit_product`` of one
+    Gaussian integral per visit, on a _PI_NODES-node rule.  A factor's
     absolute error is below 1e-15 for |g3*sz| <= 1, 1e-10 at 2 and 6e-6
     at 4 (intercepts in [-12, 12], against adaptive quadrature).  pi is
     evaluated on an x-grid spanning the data and interpolated linearly
-    to the subjects.  ``x_eval`` always has spread: ``_plugin_point``
+    to the subjects.  ``x_eval`` always has spread: ``_plugin_fit``
     fits the arm-0 outcome line on a subset of it first, and ``_line``
     raises FitError when every x is equal.
     """
     lo, hi = float(x_eval.min()), float(x_eval.max())
     grid = np.linspace(lo, hi, _N_GRID)
     xi, w = gauss_hermite_normal(0.0, 1.0, _PI_NODES)
-    pi_grid = np.ones(grid.size)
-    for vf in fit.visits:
-        (g0, g1, g3), (az, bz, sz) = vf.coef, vf.z_line
-        pi_grid *= visit_factor(g0 + g3 * az, g1 + g3 * bz, g3 * sz,
-                                grid, xi, w)
+    g0, g1, g3, az, bz, sz = params.T
+    pi_grid = visit_product(
+        np.column_stack((g0 + g3 * az, g1 + g3 * bz, g3 * sz)), grid, xi, w)
     u = (x_eval - lo) * ((grid.size - 1) / (hi - lo))
     i = np.minimum(u.astype(np.intp), grid.size - 2)
     u -= i  # in place: x_eval can hold every subject
@@ -310,18 +310,28 @@ def _adherer_outcomes(observed: ObservedData, arm: int) -> np.ndarray:
     return y
 
 
-def _plugin_point(observed: ObservedData,
-                  start: LogisticFit | None = None) -> float:
-    """The plug-in point value; ``start`` warm-starts the arm-1 fit."""
+def _plugin_fit(observed: ObservedData, start: LogisticFit | None = None):
+    """One fitting pass of the plug-in: (term1, term2, pi, m, params)
+    with pi the subjects' marginal adherence weights, m their fitted
+    arm-0 outcome line and params the arm-1 visit model of
+    ``_marginal_pi``; ``start`` warm-starts the arm-1 fit."""
     term1 = exact_mean(_adherer_outcomes(observed, 1))
 
     m0 = fit_outcome_baseline(observed, arm=0)
     fit = fit_sequential_logistic(observed, arm=1, start=start)
-    pi = _marginal_pi(observed.x, fit)
+    params = np.array([v.coef + v.z_line for v in fit.visits])
+    pi = _marginal_pi(observed.x, params)
     total = float(pi.sum())
     if total <= 0.0:
         raise EstimatorError("estimated adherence probabilities sum to zero")
-    term2 = float((pi * m0.predict(observed.x)).sum()) / total
+    m = m0.predict(observed.x)  # after the fits, so they run without it
+    return term1, float((pi * m).sum()) / total, pi, m, params
+
+
+def _plugin_point(observed: ObservedData,
+                  start: LogisticFit | None = None) -> float:
+    """The plug-in point value; ``start`` warm-starts the arm-1 fit."""
+    term1, term2, *_ = _plugin_fit(observed, start)
     return term1 - term2
 
 
@@ -354,21 +364,16 @@ def estimate_plugin(observed: ObservedData) -> EffectEstimate:
     sqrt(sum psi_i^2)/n, psi_i subject i's influence: term1's and term2's
     ratio terms, and each fit's influence times term2's gradient in it.
     """
-    value = _plugin_point(observed)
+    term1, t2, pi, m, params = _plugin_fit(observed)
     x, y = observed.x, observed.y
     rows = (observed.t == 1) & (observed.a == 1) & ~np.isnan(y)
-    infl = np.where(rows, y - exact_mean(y[rows]), 0.0) / rows.sum()  # psi/n
-    fit = fit_sequential_logistic(observed, arm=1)
-    m = fit_outcome_baseline(observed, arm=0).predict(x)
-    params = np.array([v.coef + v.z_line for v in fit.visits])
+    infl = np.where(rows, y - term1, 0.0) / rows.sum()  # psi/n
 
-    def term2(j: int = 0, h: float = 0.0):  # (term2, pi) at params[j] + h
+    def term2(j: int, h: float) -> float:  # term2 at params[j] + h
         p = params.copy()
         p.flat[j] += h
-        pi = _marginal_pi(x, LogisticFit(visits=tuple(
-            replace(v, coef=tuple(q[:3]), z_line=tuple(q[3:]))
-            for v, q in zip(fit.visits, p))))
-        return float((pi * m).sum()) / float(pi.sum()), pi
+        pi_h = _marginal_pi(x, p)
+        return float((pi_h * m).sum()) / float(pi_h.sum())
 
     def fitted(rows, cols, res, w, grad) -> None:
         """infl -= grad . info^-1 x score, for the fit sum(col * res) = 0."""
@@ -376,14 +381,13 @@ def estimate_plugin(observed: ObservedData) -> EffectEstimate:
         c = np.linalg.solve(info, grad)
         infl[rows] -= res * sum(ci * u for ci, u in zip(c, cols))
 
-    t2, pi = term2()
     infl -= pi * (m - t2) / float(pi.sum())
     rows = np.flatnonzero((observed.t == 0) & ~np.isnan(y))
     # d term2 / d(intercept, slope) = (1, pi-weighted mean of x)
     fitted(rows, (np.ones(rows.size), x[rows]), y[rows] - m[rows], 1.0,
            (1.0, float((pi * x).sum()) / float(pi.sum())))
     steps = 1e-5 * np.maximum(1.0, np.abs(params.ravel()))  # central diffs
-    grad = np.reshape([(term2(j, h)[0] - term2(j, -h)[0]) / (2.0 * h)
+    grad = np.reshape([(term2(j, h) - term2(j, -h)) / (2.0 * h)
                        for j, h in enumerate(steps)], params.shape)
     arm1 = np.flatnonzero(observed.t == 1)
     for (_, at_risk, xk, zk, resp), p, g in zip(_visits(observed, 1),
@@ -394,7 +398,7 @@ def estimate_plugin(observed: ObservedData) -> EffectEstimate:
         e = zk - (p[3] + p[4] * xk)  # the z line: OLS, then its SD
         fitted(rows, cols[:2], e, 1.0, g[3:5])
         infl[rows] -= g[5] * (e * e - p[5] ** 2) / (2 * p[5] * (rows.size - 2))
-    return EffectEstimate(value=value, se=math.sqrt((infl * infl).sum()),
+    return EffectEstimate(value=term1 - t2, se=math.sqrt((infl * infl).sum()),
                           n_members=len(observed), stratum=S_TREATED)
 
 
@@ -418,8 +422,7 @@ def _split_start(canon: ObservedData) -> LogisticFit:
 
 
 def split_calibrate(observed_control: ObservedData,
-                    estimator: str | Callable[[ObservedData], float]
-                    = "plugin",
+                    estimator: str = "plugin",
                     R: int = 200, seed: int = 0,
                     threads: int = 1) -> SplitCalibration:
     """Null-calibrate an estimator by repeated control-arm splitting.
@@ -427,22 +430,16 @@ def split_calibrate(observed_control: ObservedData,
     Each of the R (>= 2) rounds shuffles the control subjects (id-keyed,
     so record order is irrelevant), relabels floor(n/2) of them as a
     pseudo experimental arm (the extra subject on odd counts stays
-    control), and runs the estimator ``(obs) -> float`` on the
+    control), and runs the ``ESTIMATORS`` entry ``estimator`` on the
     pseudo-trial.  Round i's one random draw is its split, from the RNG
     stream [seed, i], so offsets do not depend on the ``threads`` (>= 1)
     workers.  Failed rounds are skipped; over 10% raises CalibrationError.
     "plugin" rounds start from ``_split_start``, or from 0 if it fails.
     """
-    if isinstance(estimator, str):
-        try:
-            fn = ESTIMATORS[estimator]
-        except KeyError:
-            raise ValueError(
-                f"unknown estimator {estimator!r}; "
-                f"choices: {sorted(ESTIMATORS)}") from None
-        name = estimator
-    else:
-        fn, name = estimator, getattr(estimator, "__name__", "custom")
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; "
+                         f"choices: {sorted(ESTIMATORS)}")
+    fn = ESTIMATORS[estimator]
     if np.any(observed_control.t != 0):
         raise ValueError("split_calibrate expects control-arm records only")
     n = len(observed_control)
@@ -480,7 +477,7 @@ def split_calibrate(observed_control: ObservedData,
                                f"(limit 10%); first: {failures[0]}")
     arr = np.asarray([v for v, _ in results if v is not None])
     return SplitCalibration(
-        estimator=name, R=R, offsets=tuple(map(float, arr)),
+        estimator=estimator, R=R, offsets=tuple(map(float, arr)),
         mean_offset=exact_mean(arr),
         se_offset=float(np.std(arr, ddof=1)) / math.sqrt(len(arr)),
         n_failed=len(failures))

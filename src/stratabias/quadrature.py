@@ -25,8 +25,9 @@ with, for xi ~ N(0, sigma_eta^2),
 
 The eta_k are independent across visits, so the expectation factors
 visit by visit.  Every factor is a one-dimensional Gaussian integral,
-evaluated by Gauss-Hermite quadrature in ``visit_factor``, which the
-plug-in estimator's marginal adherence weight calls too.  gamma2 and
+and ``visit_product`` evaluates them by Gauss-Hermite quadrature and
+forms both the product over visits and the sum above; the plug-in
+estimator's marginal adherence weight is that product too.  gamma2 and
 alpha2 enter the intercept because adherence is evaluated under the
 experimental arm.  With alpha2 = 0 and beta2 = 0 (an outcome null) a
 nonzero gamma2 changes who adheres but not the outcome, which is
@@ -89,17 +90,26 @@ def gauss_hermite_normal(mu: float, sigma: float, nodes: int):
     return mu + math.sqrt(2.0) * sigma * h, w
 
 
-def visit_factor(c0: float, c1: float, s: float, x: np.ndarray,
-                 xi: np.ndarray, w: np.ndarray, tilted: bool = False):
-    """D(x) = E[expit(c0 + c1*x + s*Xi)] for Xi ~ N(0, 1) at each x, from
-    the standard-normal rule (xi, w) of ``gauss_hermite_normal``; with
-    ``tilted``, (D, N) where N(x) = E[Xi * expit(c0 + c1*x + s*Xi)].
-    Reduced by numpy sums, not a matrix product: BLAS would tie the
-    result to its thread count."""
-    p = expit(c0 + c1 * x[:, None] + s * xi)
-    p *= w
-    d = p.sum(axis=1)
-    return (d, (p * xi).sum(axis=1)) if tilted else d
+def visit_product(c, x: np.ndarray, xi: np.ndarray, w: np.ndarray,
+                  beta3=None):
+    """prod_k D_k(x) at each x, D_k(x) = E[expit(c0 + c1*x + s*Xi)] for
+    Xi ~ N(0, 1) and visit k's row (c0, c1, s) of ``c``, from the
+    standard-normal rule (xi, w) of ``gauss_hermite_normal``.  With
+    ``beta3``, (prod_k D_k, sum_k beta3_k N_k prod_{k' != k} D_k') where
+    N_k(x) = E[Xi * expit(c0 + c1*x + s*Xi)].  Reduced by numpy sums, not
+    a matrix product: BLAS would tie the result to its thread count."""
+    # product rule: after visit k, den = prod D and num = sum_k beta3_k
+    # N_k * prod_{k' != k} D_k', both over the visits so far
+    den = np.ones(x.size)
+    num = np.zeros(x.size)
+    for k, (c0, c1, s) in enumerate(c):
+        p = expit(c0 + c1 * x[:, None] + s * xi)
+        p *= w
+        d = p.sum(axis=1)
+        if beta3 is not None:
+            num = num * d + beta3[k] * (p * xi).sum(axis=1) * den
+        den *= d
+    return den if beta3 is None else (den, num)
 
 
 def _evaluate(p: ModelParams, nodes_x: int, nodes_xi: int) -> float:
@@ -107,19 +117,10 @@ def _evaluate(p: ModelParams, nodes_x: int, nodes_xi: int) -> float:
     by nodes_xi nodes."""
     xs, wx = gauss_hermite_normal(p.mu_x, p.sigma_x, nodes_x)
     xi, wxi = gauss_hermite_normal(0.0, 1.0, nodes_xi)
-    # product rule: after visit k, den = prod D and num = sum_k beta3_k
-    # N_k / sigma_eta * prod_{k' != k} D_k', both over the visits so far
-    den = np.ones(nodes_x)
-    num = np.zeros(nodes_x)
-    for k in range(p.K):
-        g3 = p.gamma3[k]
-        d, n = visit_factor(
-            p.gamma0 + p.gamma2 + g3 * (p.alpha0[k] + p.alpha2[k]),
-            p.gamma1 + g3 * p.alpha1[k], g3 * p.sigma_eta, xs, xi, wxi,
-            tilted=True)
-        num = num * d + p.beta3[k] * n * den
-        den = den * d
-
+    c = [(p.gamma0 + p.gamma2 + g3 * (a0 + a2), p.gamma1 + g3 * a1,
+          g3 * p.sigma_eta)
+         for g3, a0, a1, a2 in zip(p.gamma3, p.alpha0, p.alpha1, p.alpha2)]
+    den, num = visit_product(c, xs, xi, wxi, p.beta3)
     total = float((wx * den).sum())
     if total <= 0.0:
         raise QuadratureError("adherence probability underflowed to zero")

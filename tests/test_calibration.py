@@ -21,8 +21,7 @@ from stratabias.calibration import (ESTIMATORS, CalibrationError,
 from stratabias.cli import main as cli_main
 from stratabias.datagen import ObservedData, generate, observe
 from stratabias.params import ScenarioConfig, load_bundled
-from stratabias.quadrature import (gauss_hermite_normal, null_stratum_effect,
-                                   visit_factor)
+from stratabias.quadrature import null_stratum_effect
 from stratabias.strata import exact_mean
 
 DEMO = load_bundled("full_null_demo").params
@@ -305,28 +304,22 @@ def test_plugin_tracks_closed_form():
 
 def test_marginal_pi_matches_adaptive_quadrature():
     """pi(x) at grid x-values against scipy's adaptive quadrature of the
-    per-visit product of E[expit(g0 + g1*x + g3*Z_k)], and each visit's
-    tilted moment E[T * expit(...)], Z_k = az + bz*x + sz*T, likewise."""
+    per-visit product of E[expit(g0 + g1*x + g3*Z_k)], Z_k = az + bz*x +
+    sz*T with T ~ N(0, 1)."""
     fit = fit_sequential_logistic(trial(20_000, seed=52), arm=1)
     x_eval = np.linspace(-3.0, 3.0, calibration._N_GRID)
-    pi = calibration._marginal_pi(x_eval, fit)
-    xi, w = gauss_hermite_normal(0.0, 1.0, calibration._PI_NODES)
+    pi = calibration._marginal_pi(
+        x_eval, np.array([v.coef + v.z_line for v in fit.visits]))
     for i in np.linspace(0, x_eval.size - 1, 20).astype(int):
         x = x_eval[i]
         want = 1.0
         for vf in fit.visits:
             (g0, g1, g3), (az, bz, sz) = vf.coef, vf.z_line
 
-            def f(t, power=0):
-                return t ** power \
-                    * expit(g0 + g1 * x + g3 * (az + bz * x + sz * t)) \
+            def f(t):
+                return expit(g0 + g1 * x + g3 * (az + bz * x + sz * t)) \
                     * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
             want *= quad(f, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-13)[0]
-            _, tilted = visit_factor(g0 + g3 * az, g1 + g3 * bz, g3 * sz,
-                                     x_eval[i:i + 1], xi, w, tilted=True)
-            want_tilted = quad(f, -np.inf, np.inf, args=(1,), epsabs=1e-14,
-                               epsrel=1e-13)[0]
-            assert abs(tilted[0] - want_tilted) <= 1e-10
         assert abs(pi[i] - want) <= 1e-10
 
 
@@ -350,6 +343,28 @@ def test_plugin_with_flat_weights_is_unweighted_difference():
 def test_plugin_value_is_the_point():
     obs = trial(20_000, seed=53)
     assert estimate_plugin(obs).value == calibration._plugin_point(obs)
+
+
+def test_plugin_se_reuses_the_point_fits(monkeypatch):
+    """One estimate_plugin call fits each model once and builds pi once
+    at the fit, plus the central differences' 2 per visit parameter."""
+    obs = trial(20_000, seed=54)
+    calls = dict.fromkeys(("fit_sequential_logistic", "fit_outcome_baseline",
+                           "_marginal_pi"), 0)
+
+    def counted(name):
+        real = getattr(calibration, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(calibration, name, counted(name))
+    estimate_plugin(obs)
+    assert calls == {"fit_sequential_logistic": 1, "fit_outcome_baseline": 1,
+                     "_marginal_pi": 1 + 2 * 6 * obs.K}
 
 
 def test_plugin_se_is_calibrated():
@@ -419,7 +434,8 @@ def test_split_plugin_offsets_are_order_free():
 
 
 def _cold_plugin(obs):
-    """A custom estimator: the plug-in point with its fits started at 0."""
+    """The plug-in point with its fits started at 0: registered under any
+    name but "plugin", it gets no warm start."""
     return calibration._plugin_point(obs)
 
 
@@ -441,9 +457,10 @@ def test_split_warm_rounds_match_cold_rounds(name, monkeypatch):
         return fit
 
     monkeypatch.setattr(calibration, "fit_sequential_logistic", counting_fit)
+    monkeypatch.setitem(ESTIMATORS, "cold_plugin", _cold_plugin)
     warm = split_calibrate(ctrl, "plugin", R=8, seed=3)
     warm_steps, steps[True], steps[False] = steps[True], 0, 0
-    cold = split_calibrate(ctrl, _cold_plugin, R=8, seed=3)
+    cold = split_calibrate(ctrl, "cold_plugin", R=8, seed=3)
     assert steps[True] == 0 and 0 < warm_steps < steps[False]
     assert warm.n_failed == cold.n_failed == 0
     np.testing.assert_allclose(warm.offsets, cold.offsets, rtol=0,
@@ -452,7 +469,8 @@ def test_split_warm_rounds_match_cold_rounds(name, monkeypatch):
 
 def test_split_without_a_start_fit_runs_cold(monkeypatch):
     ctrl = control_arm(20_000, seed=62)
-    cold = split_calibrate(ctrl, _cold_plugin, R=4, seed=4)
+    monkeypatch.setitem(ESTIMATORS, "cold_plugin", _cold_plugin)
+    cold = split_calibrate(ctrl, "cold_plugin", R=4, seed=4)
 
     def no_start(canon):
         raise FitError("synthetic start failure")
@@ -483,7 +501,7 @@ def test_calibrate_fit_csv_is_the_cold_fit(tmp_path, monkeypatch, capsys):
     assert warm == cold
 
 
-def test_split_failure_accounting():
+def test_split_failure_accounting(monkeypatch):
     ctrl = control_arm(4_000, seed=45)
     calls = {"n": 0}
 
@@ -493,7 +511,8 @@ def test_split_failure_accounting():
             raise EstimatorError("synthetic failure")
         return ESTIMATORS["naive"](obs)
 
-    cal = split_calibrate(ctrl, flaky, R=20, seed=1)
+    monkeypatch.setitem(ESTIMATORS, "flaky", flaky)
+    cal = split_calibrate(ctrl, "flaky", R=20, seed=1)
     assert cal.estimator == "flaky"
     assert cal.n_failed == 1
     assert len(cal.offsets) == 19
@@ -501,8 +520,9 @@ def test_split_failure_accounting():
     def broken(obs):
         raise FitError("always down")
 
+    monkeypatch.setitem(ESTIMATORS, "broken", broken)
     with pytest.raises(CalibrationError, match="limit 10%"):
-        split_calibrate(ctrl, broken, R=10, seed=1)
+        split_calibrate(ctrl, "broken", R=10, seed=1)
 
 
 def test_split_input_validation():
@@ -514,6 +534,9 @@ def test_split_input_validation():
         split_calibrate(ctrl, "naive", R=1)
     with pytest.raises(ValueError, match="unknown estimator"):
         split_calibrate(ctrl, "oracle", R=4)
+    # estimators are registry names only, never callables
+    with pytest.raises(ValueError, match=r"choices: \['naive', 'plugin'\]"):
+        split_calibrate(ctrl, ESTIMATORS["naive"], R=4)
     with pytest.raises(ValueError, match="at least 4"):
         split_calibrate(ctrl.subset(np.arange(3)), "naive", R=4)
 

@@ -15,11 +15,11 @@ from scipy import integrate
 from scipy.special import expit
 
 from stratabias import calibration, quadrature
-from stratabias.calibration import LogisticFit, VisitFit
 from stratabias.datagen import generate, generate_blocks
 from stratabias.params import ScenarioConfig, load_bundled, validate
 from stratabias.quadrature import (QuadratureError, RefinementError,
-                                   gauss_hermite_normal, null_stratum_effect)
+                                   gauss_hermite_normal, null_stratum_effect,
+                                   visit_product)
 from stratabias.strata import S_TREATED, oracle_effect, stratum_members
 
 DEMO = load_bundled("full_null_demo").params
@@ -75,11 +75,9 @@ def test_each_rule_is_built_once_per_node_count(cold_rules, monkeypatch):
 
     monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
     null_stratum_effect(DEMO)  # 64 nodes refined at 128
-    visit = VisitFit(visit=0, coef=(0.5, 0.2, 0.3), se=(0.0, 0.0, 0.0),
-                     n_at_risk=1, loglik_path=(0.0,), converged=True,
-                     z_line=(0.0, 0.5, 1.0))
+    visit = (0.5, 0.2, 0.3, 0.0, 0.5, 1.0)  # (g0, g1, g3, az, bz, sz)
     calibration._marginal_pi(np.linspace(-2.0, 2.0, 50),
-                             LogisticFit(visits=(visit, visit)))
+                             np.array([visit, visit]))
     assert calibration._PI_NODES == 64
     assert calls == {64: 1, 128: 1}
 
@@ -123,6 +121,81 @@ def test_threads_on_a_cold_cache_get_equal_rules(cold_rules):
     for pts, wts in rules:
         assert pts.tobytes() == rules[0][0].tobytes()
         assert wts.tobytes() == rules[0][1].tobytes()
+
+
+# -- the visit-product kernel -----------------------------------------------
+
+def _reference_visit_factor(c0, c1, s, x, xi, w, tilted=False):
+    """The one-visit integral as written before ``visit_product``."""
+    p = expit(c0 + c1 * x[:, None] + s * xi)
+    p *= w
+    d = p.sum(axis=1)
+    return (d, (p * xi).sum(axis=1)) if tilted else d
+
+
+def _reference_product(c, x, xi, w, beta3=None):
+    """The visit loops as written before ``visit_product``: the closed
+    form's product rule with ``beta3``, the plug-in's pi(x) without."""
+    if beta3 is None:
+        pi = np.ones(x.size)
+        for c0, c1, s in c:
+            pi *= _reference_visit_factor(c0, c1, s, x, xi, w)
+        return pi
+    den = np.ones(x.size)
+    num = np.zeros(x.size)
+    for k, (c0, c1, s) in enumerate(c):
+        d, n = _reference_visit_factor(c0, c1, s, x, xi, w, tilted=True)
+        num = num * d + beta3[k] * n * den
+        den = den * d
+    return den, num
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(min_value=1, max_value=5),
+       nodes_x=st.integers(min_value=2, max_value=185),
+       nodes_xi=st.integers(min_value=2, max_value=185),
+       tilted=st.booleans())
+def test_visit_product_is_bitwise_the_visit_loops(data, k, nodes_x,
+                                                   nodes_xi, tilted):
+    def num(lo, hi):
+        return data.draw(st.floats(min_value=lo, max_value=hi))
+
+    c = [(num(-6.0, 6.0), num(-2.0, 2.0), num(-3.0, 3.0)) for _ in range(k)]
+    beta3 = [num(-2.0, 2.0) for _ in range(k)] if tilted else None
+    x, _ = gauss_hermite_normal(num(-1.0, 1.0), num(0.1, 2.0), nodes_x)
+    xi, w = gauss_hermite_normal(0.0, 1.0, nodes_xi)
+    want = _reference_product(c, x, xi, w, beta3)
+    for rows in (c, np.array(c)):  # as _evaluate and _marginal_pi pass them
+        got = visit_product(rows, x, xi, w, beta3)
+        if tilted:
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+def _normal_moment(c0, c1, s, x, power):
+    """E[T^power * expit(c0 + c1*x + s*T)], T ~ N(0, 1), adaptively."""
+    def f(t):
+        return t ** power * expit(c0 + c1 * x + s * t) \
+            * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
+    return integrate.quad(f, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-13)[0]
+
+
+def test_visit_product_matches_adaptive_quadrature():
+    """Each visit's D and tilted N on the plug-in's 64-node rule, and
+    their product over visits, against scipy's adaptive quadrature."""
+    c = [(1.2, 0.3, 0.5), (-0.8, -0.4, 0.9), (2.5, 0.6, -0.7)]
+    x = np.linspace(-3.0, 3.0, 13)
+    xi, w = gauss_hermite_normal(0.0, 1.0, calibration._PI_NODES)
+    want = np.ones(x.size)
+    for row in c:
+        d, n = visit_product([row], x, xi, w, beta3=[1.0])
+        for i, xv in enumerate(x):
+            assert abs(d[i] - _normal_moment(*row, xv, 0)) <= 1e-10
+            assert abs(n[i] - _normal_moment(*row, xv, 1)) <= 1e-10
+        want *= [_normal_moment(*row, xv, 0) for xv in x]
+    assert np.max(np.abs(visit_product(c, x, xi, w) - want)) <= 1e-10
 
 
 def test_outcome_pathway_adds_the_patient_level_effect():
