@@ -33,6 +33,11 @@ experimental arm.  With alpha2 = 0 and beta2 = 0 (an outcome null) a
 nonzero gamma2 changes who adheres but not the outcome, which is
 exactly the regime where control-arm calibration stops matching this
 quantity.
+
+On a rule the weight's exponent is a sum a(x) + b(xi), so the logistic
+factors into one exp per x node and one per xi node instead of one per
+(x, xi) cell.  A visit whose |a| or |b| exceeds 700 keeps scipy's
+per-cell expit, because past that the two exps could form inf * 0.
 """
 
 from __future__ import annotations
@@ -50,6 +55,10 @@ _REL_TOL = 1e-9
 # Absolute slack for the refinement check: regimes whose exact value is 0
 # produce node-level noise around 1e-17 where a relative test is meaningless.
 _ABS_FLOOR = 1e-12
+# Largest |exponent| at which visit_product's factored logistic runs:
+# e^700 and e^-700 are finite and nonzero (the limits are near 709 and
+# -745), so no inf * 0 can form in the outer product.
+_EXP_MAX = 700.0
 
 
 class QuadratureError(ValueError):
@@ -97,14 +106,30 @@ def visit_product(c, x: np.ndarray, xi: np.ndarray, w: np.ndarray,
     standard-normal rule (xi, w) of ``gauss_hermite_normal``.  With
     ``beta3``, (prod_k D_k, sum_k beta3_k N_k prod_{k' != k} D_k') where
     N_k(x) = E[Xi * expit(c0 + c1*x + s*Xi)].  Reduced by numpy sums, not
-    a matrix product: BLAS would tie the result to its thread count."""
+    a matrix product: BLAS would tie the result to its thread count.
+
+    The logistic factors over the grid: with a = c0 + c1*x and b = s*xi,
+    expit(a_i + b_j) = 1 / (1 + e^-a_i * e^-b_j), so a visit takes
+    x.size + xi.size exps instead of one per cell.  That form is used
+    only when every |a| and |b| is at most _EXP_MAX, where both exps are
+    finite and nonzero: their product can overflow to inf (giving the
+    correct 0) but never forms inf * 0.  Any other row is evaluated
+    cell by cell with scipy's expit."""
     # product rule: after visit k, den = prod D and num = sum_k beta3_k
     # N_k * prod_{k' != k} D_k', both over the visits so far
     den = np.ones(x.size)
     num = np.zeros(x.size)
     for k, (c0, c1, s) in enumerate(c):
-        p = expit(c0 + c1 * x[:, None] + s * xi)
-        p *= w
+        a = c0 + c1 * x
+        b = s * xi
+        if np.abs(a).max() <= _EXP_MAX and np.abs(b).max() <= _EXP_MAX:
+            with np.errstate(over="ignore"):
+                p = np.multiply.outer(np.exp(-a), np.exp(-b))
+            p += 1.0
+            p = np.divide(w, p, out=p)
+        else:
+            p = expit(a[:, None] + b)
+            p *= w
         d = p.sum(axis=1)
         if beta3 is not None:
             num = num * d + beta3[k] * (p * xi).sum(axis=1) * den

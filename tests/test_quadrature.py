@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -155,8 +156,11 @@ def _reference_product(c, x, xi, w, beta3=None):
        nodes_x=st.integers(min_value=2, max_value=185),
        nodes_xi=st.integers(min_value=2, max_value=185),
        tilted=st.booleans())
-def test_visit_product_is_bitwise_the_visit_loops(data, k, nodes_x,
+def test_visit_product_agrees_with_the_visit_loops(data, k, nodes_x,
                                                    nodes_xi, tilted):
+    """The factored logistic against the per-cell expit loops: products
+    to 1e-13 relative, the tilted sum to 1e-13 of den * sum|beta3| (it
+    can cancel to near 0, where a relative bound means nothing)."""
     def num(lo, hi):
         return data.draw(st.floats(min_value=lo, max_value=hi))
 
@@ -165,13 +169,18 @@ def test_visit_product_is_bitwise_the_visit_loops(data, k, nodes_x,
     x, _ = gauss_hermite_normal(num(-1.0, 1.0), num(0.1, 2.0), nodes_x)
     xi, w = gauss_hermite_normal(0.0, 1.0, nodes_xi)
     want = _reference_product(c, x, xi, w, beta3)
-    for rows in (c, np.array(c)):  # as _evaluate and _marginal_pi pass them
-        got = visit_product(rows, x, xi, w, beta3)
-        if tilted:
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-        else:
-            assert got.tobytes() == want.tobytes()
+    got = visit_product(c, x, xi, w, beta3)
+    # as _evaluate and _marginal_pi pass them: a list of rows, an array
+    again = visit_product(np.array(c), x, xi, w, beta3)
+    if tilted:
+        assert all(g.tobytes() == a.tobytes() for g, a in zip(got, again))
+        den, want_den = got[0], want[0]
+        scale = 1e-13 * want_den * sum(abs(b) for b in beta3)
+        assert np.all(np.abs(got[1] - want[1]) <= scale)
+    else:
+        assert got.tobytes() == again.tobytes()
+        den, want_den = got, want
+    assert np.all(np.abs(den - want_den) <= 1e-13 * want_den)
 
 
 def _normal_moment(c0, c1, s, x, power):
@@ -196,6 +205,78 @@ def test_visit_product_matches_adaptive_quadrature():
             assert abs(n[i] - _normal_moment(*row, xv, 1)) <= 1e-10
         want *= [_normal_moment(*row, xv, 0) for xv in x]
     assert np.max(np.abs(visit_product(c, x, xi, w) - want)) <= 1e-10
+
+
+def _outcome(p):
+    """null_stratum_effect's value, or its refusal as (type, message)."""
+    try:
+        return null_stratum_effect(p)
+    except QuadratureError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(gamma0=-800.0),
+    dict(gamma3=[40.0, 40.0, 40.0]),
+    dict(gamma0=-700.0, gamma3=[60.0, 60.0, 60.0])])
+def test_rows_past_the_exp_guard_keep_the_per_cell_logistic(overrides,
+                                                            monkeypatch):
+    """Exponents beyond +-700 on the 128-node rule: no warning,
+    the per-cell bits, and the same refusal as the per-cell kernel."""
+    p = params(**overrides)
+    xs, _ = gauss_hermite_normal(p.mu_x, p.sigma_x, 128)
+    xi, w = gauss_hermite_normal(0.0, 1.0, 128)
+    c = [(p.gamma0 + p.gamma2 + g3 * (a0 + a2), p.gamma1 + g3 * a1,
+          g3 * p.sigma_eta)
+         for g3, a0, a1, a2 in zip(p.gamma3, p.alpha0, p.alpha1, p.alpha2)]
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "visit_product", _reference_product)
+        want = _outcome(p)
+    assert not isinstance(want, float)  # each of these is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(p) == want
+        for beta3 in (None, p.beta3):
+            got = visit_product(c, xs, xi, w, beta3)
+            ref = _reference_product(c, xs, xi, w, beta3)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def _outcome_null_points(seed, count):
+    """Outcome-null models drawn uniformly from the quad-sweep box:
+    alpha2 = beta2 = 0, |gamma2| in [0.25, 2] with a random sign."""
+    rng = np.random.default_rng(seed)
+
+    def u(lo, hi, size=None):
+        return np.asarray(rng.uniform(lo, hi, size)).tolist()
+
+    for _ in range(count):
+        k = int(rng.integers(1, 6))
+        yield validate(dict(
+            K=k, mu_x=u(-1.0, 1.0), sigma_x=u(0.5, 2.0),
+            alpha0=u(-1.0, 1.0, k), alpha1=u(-1.0, 1.0, k),
+            alpha2=[0.0] * k, beta0=u(-1.0, 1.0), beta1=u(-1.0, 1.0),
+            beta2=0.0, beta3=u(-1.0, 1.0, k), sigma_eta=u(0.25, 2.0),
+            sigma_eps=1.0, gamma0=u(-2.0, 3.0), gamma1=u(-1.0, 1.0),
+            gamma2=float(rng.choice((-1.0, 1.0))) * u(0.25, 2.0),
+            gamma3=u(-2.0, 2.0, k)))
+
+
+def test_sweep_points_keep_their_outcome(monkeypatch):
+    """Over 200 outcome-null models each point keeps the per-cell
+    kernel's outcome: the same refusal, or a value within 1e-14."""
+    kinds = Counter()
+    for p in _outcome_null_points(7, 200):
+        got = _outcome(p)
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "visit_product", _reference_product)
+            want = _outcome(p)
+        if isinstance(want, float):
+            assert isinstance(got, float) and abs(got - want) <= 1e-14
+        else:
+            assert not isinstance(got, float) and got[0] is want[0]
+        kinds["value" if isinstance(want, float) else want[0].__name__] += 1
+    assert kinds["value"] > 0 and kinds["RefinementError"] > 0
 
 
 def test_outcome_pathway_adds_the_patient_level_effect():
