@@ -22,11 +22,10 @@ from .strata import (EffectEstimate, EmptyStratumError, S_BOTH, S_CONTROL,
                      oracle_effect, tower_check, write_effects_csv)
 from .quadrature import QuadratureError, RefinementError, null_stratum_effect
 from .calibration import (ESTIMATORS, CalibrationError, EstimatorError,
-                          FitError, LogisticFit, OutcomeFit, SeparationError,
+                          FitError, LogisticFit, SeparationError,
                           SplitCalibration, estimate_naive, estimate_plugin,
-                          fit_outcome_baseline, fit_sequential_logistic,
-                          split_calibrate, write_calibration_csv,
-                          write_fit_csv)
+                          fit_sequential_logistic, split_calibrate,
+                          write_calibration_csv, write_fit_csv)
 
 __all__ = [
     "__version__",
@@ -45,8 +44,7 @@ __all__ = [
     "QuadratureError", "RefinementError", "null_stratum_effect",
     # calibration
     "ESTIMATORS", "CalibrationError", "EstimatorError", "FitError",
-    "LogisticFit", "OutcomeFit", "SeparationError", "SplitCalibration",
-    "estimate_naive", "estimate_plugin", "fit_outcome_baseline",
-    "fit_sequential_logistic", "split_calibrate", "write_calibration_csv",
-    "write_fit_csv",
+    "LogisticFit", "SeparationError", "SplitCalibration", "estimate_naive",
+    "estimate_plugin", "fit_sequential_logistic", "split_calibrate",
+    "write_calibration_csv", "write_fit_csv",
 ]

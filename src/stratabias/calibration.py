@@ -6,11 +6,10 @@ data only (one arm per subject):
 * ``estimate_naive`` - adherers-vs-adherers mean difference.  It does
   not target the stratum effect; it is the baseline comparator whose
   expectation stays 0 under a full null.
-* ``estimate_plugin`` - term1 - term2 with term1 the experimental-arm
-  adherer mean and term2 a marginal-adherence-weighted average of a
-  fitted control-arm outcome model over all subjects.  The adherence
-  weight pi(x) marginalizes the fitted sequential-logistic visit model
-  over the intermediates by Gauss-Hermite quadrature, and its SE is an
+* ``estimate_plugin`` - term1 - term2: the arm-1 adherer mean minus the
+  outcome line fitted on arm 0, averaged over all subjects with weight
+  pi(x), adherence under the visit model fitted on arm 1 with the
+  intermediates marginalized by Gauss-Hermite quadrature.  Its SE is an
   influence-function sandwich: both are deterministic in the data.
 
 ``split_calibrate`` implements the null-calibration idea: repeatedly
@@ -23,9 +22,9 @@ the experimental arm without touching the outcome pathway (gamma2 != 0)
 is invisible to it - that regime is where the calibrated reference
 stops matching the true stratum effect.
 
-The control-arm outcome model in the plug-in estimator wants outcomes
-recorded regardless of adherence; when outcomes are censored at dropout
-the model is fit on adherers only and inherits their selection tilt.
+The arm-0 outcome line wants outcomes recorded regardless of adherence;
+when outcomes are censored at dropout it is fit on adherers only and
+inherits their selection tilt.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from scipy.special import expit
 
 from .datagen import ObservedData, write_table
 from .quadrature import gauss_hermite_normal, visit_product
-from .strata import S_TREATED, EffectEstimate, exact_mean
+from .strata import EffectEstimate, exact_mean
 
 _MAX_ITER = 50
 _GRAD_TOL = 1e-8
@@ -93,25 +92,9 @@ class VisitFit:
 
 @dataclass(frozen=True)
 class LogisticFit:
-    """Sequential per-visit logistic fits for one arm."""
+    """Sequential per-visit logistic fits of arm 1."""
 
     visits: tuple[VisitFit, ...]
-
-    @property
-    def converged(self) -> bool:
-        return all(v.converged for v in self.visits)
-
-
-@dataclass(frozen=True)
-class OutcomeFit:
-    """Least-squares line for the control-arm outcome given baseline x."""
-
-    intercept: float
-    slope_x: float
-    n: int
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.intercept + self.slope_x * x
 
 
 @dataclass(frozen=True)
@@ -149,12 +132,8 @@ def _irls(x: np.ndarray, z: np.ndarray, r: np.ndarray, what: str,
     stalls in the endgame, where full Newton steps still shrink the
     gradient but move the log-likelihood by under an ulp.
     """
-    if start is None:
-        beta = np.zeros(3)
-        eta = np.zeros_like(x)
-    else:
-        beta = np.array(start, dtype=float)
-        eta = beta[0] + beta[1] * x + beta[2] * z
+    beta = np.zeros(3) if start is None else np.array(start, dtype=float)
+    eta = beta[0] + beta[1] * x + beta[2] * z  # +0.0 throughout at beta = 0
     ll = _loglik(eta, r)
     path = [ll]
     converged = False
@@ -208,20 +187,21 @@ def _irls(x: np.ndarray, z: np.ndarray, r: np.ndarray, what: str,
     return beta, se, tuple(path), len(path) - 1, converged
 
 
-def fit_sequential_logistic(observed: ObservedData, arm: int,
+def fit_sequential_logistic(observed: ObservedData,
                             start: LogisticFit | None = None) -> LogisticFit:
-    """Per-visit adherence model for one arm, by maximum likelihood.
+    """Per-visit adherence model of arm 1 by maximum likelihood: the
+    plug-in's visit model (its outcome line is fitted on arm 0).
 
     The at-risk set for visit k is everyone still adherent after visit
     k-1, i.e. everyone whose z_k was recorded; the response is survival
     through visit k (z_{k+1} recorded, or final adherence at the last
-    visit).  Within an arm any arm-level intercept shift is absorbed
-    into g0.  Each visit's ``z_line`` is fitted on the same at-risk
-    subjects.  ``start``, a fit with the same visits, gives each visit's
-    Newton starting point; without it Newton starts from 0.
+    visit).  The arm's intercept shift is absorbed into g0.  Each
+    visit's ``z_line`` is fitted on the same at-risk subjects.
+    ``start``, a fit with the same visits, gives each visit's Newton
+    starting point; without it Newton starts from 0.
     """
     visits = []
-    for k, (what, at_risk, xk, zk, resp) in enumerate(_visits(observed, arm)):
+    for k, (what, at_risk, xk, zk, resp) in enumerate(_visits(observed)):
         guess = None if start is None else start.visits[k].coef
         beta, se, path, _, conv = _irls(xk, zk, resp, what, guess)
         visits.append(VisitFit(
@@ -232,13 +212,13 @@ def fit_sequential_logistic(observed: ObservedData, arm: int,
     return LogisticFit(visits=tuple(visits))
 
 
-def _visits(observed: ObservedData, arm: int):
-    """Yield (what, at_risk, x, z_k, response) per visit of ``arm``."""
+def _visits(observed: ObservedData):
+    """Yield (what, at_risk, x, z_k, response) per visit of arm 1."""
     # integer gathers: several times faster than by a scattered bool mask
-    idx = np.flatnonzero(observed.t == arm)
+    idx = np.flatnonzero(observed.t == 1)
     x, z, a = observed.x[idx], observed.z.take(idx, axis=0), observed.a[idx]
     for k in range(observed.K):
-        what = f"visit {k + 1} in arm {arm}"
+        what = f"visit {k + 1} in arm 1"
         at_risk = np.flatnonzero(~np.isnan(z[:, k]))
         if at_risk.size < _MIN_AT_RISK:
             raise FitError(f"{what}: only {at_risk.size} at-risk subjects "
@@ -259,17 +239,6 @@ def _line(x: np.ndarray, y: np.ndarray, what: str):
     b = float((dx * dy).sum() / (dx * dx).sum())
     dy -= b * dx
     return ym - b * xm, b, math.sqrt((dy * dy).sum() / (len(x) - 2))
-
-
-def fit_outcome_baseline(observed: ObservedData, arm: int = 0) -> OutcomeFit:
-    """Least squares of the observed outcome on baseline x within an arm."""
-    idx = np.flatnonzero((observed.t == arm) & ~np.isnan(observed.y))
-    m = idx.size
-    if m < 3:
-        raise FitError(f"arm {arm}: only {m} subjects with observed outcome")
-    a, b, _ = _line(observed.x[idx], observed.y[idx],
-                    f"outcome line in arm {arm}")
-    return OutcomeFit(intercept=a, slope_x=b, n=m)
 
 
 def _marginal_pi(x_eval: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -301,30 +270,40 @@ def _marginal_pi(x_eval: np.ndarray, params: np.ndarray) -> np.ndarray:
     return np.add(u, pi_grid[i], out=u)
 
 
-def _adherer_outcomes(observed: ObservedData, arm: int) -> np.ndarray:
-    """Observed outcomes of ``arm``'s adherers; none is an EstimatorError."""
-    y = observed.y[(observed.t == arm) & (observed.a == 1)
-                   & ~np.isnan(observed.y)]
-    if y.size == 0:
+def _adherers(observed: ObservedData, arm: int) -> np.ndarray:
+    """Mask of ``arm``'s adherers with an outcome; none is an EstimatorError."""
+    rows = (observed.t == arm) & (observed.a == 1) & ~np.isnan(observed.y)
+    if not rows.any():
         raise EstimatorError(f"no adherers with observed outcome in arm {arm}")
-    return y
+    return rows
+
+
+def _outcome_rows(observed: ObservedData) -> np.ndarray:
+    """Arm-0 rows with an observed outcome; fewer than 3 is a FitError."""
+    rows = np.flatnonzero((observed.t == 0) & ~np.isnan(observed.y))
+    if rows.size < 3:
+        raise FitError(f"arm 0: only {rows.size} subjects with observed outcome")
+    return rows
 
 
 def _plugin_fit(observed: ObservedData, start: LogisticFit | None = None):
-    """One fitting pass of the plug-in: (term1, term2, pi, m, params)
-    with pi the subjects' marginal adherence weights, m their fitted
-    arm-0 outcome line and params the arm-1 visit model of
-    ``_marginal_pi``; ``start`` warm-starts the arm-1 fit."""
-    term1 = exact_mean(_adherer_outcomes(observed, 1))
+    """One fitting pass of the plug-in: (term1, term2, pi, m, params),
+    pi the subjects' marginal adherence weights, m their arm-0 outcome
+    line a0 + b0*x, least squares on ``_outcome_rows``, and params the
+    arm-1 visit model of ``_marginal_pi``; ``start`` warm-starts it."""
+    term1 = exact_mean(observed.y[_adherers(observed, 1)])
 
-    m0 = fit_outcome_baseline(observed, arm=0)
-    fit = fit_sequential_logistic(observed, arm=1, start=start)
+    x, y = observed.x, observed.y
+    rows0 = _outcome_rows(observed)
+    a0, b0, _ = _line(x[rows0], y[rows0], "outcome line in arm 0")
+    del rows0  # not held through the fits, which set a round's peak memory
+    fit = fit_sequential_logistic(observed, start=start)
     params = np.array([v.coef + v.z_line for v in fit.visits])
-    pi = _marginal_pi(observed.x, params)
+    pi = _marginal_pi(x, params)
     total = float(pi.sum())
     if total <= 0.0:
         raise EstimatorError("estimated adherence probabilities sum to zero")
-    m = m0.predict(observed.x)  # after the fits, so they run without it
+    m = a0 + b0 * x  # after the fits, so they run without it
     return term1, float((pi * m).sum()) / total, pi, m, params
 
 
@@ -344,30 +323,30 @@ def estimate_naive(observed: ObservedData) -> EffectEstimate:
     """
     sides = []
     for arm in (0, 1):
-        y = _adherer_outcomes(observed, arm)
+        y = observed.y[_adherers(observed, arm)]
         sides.append((exact_mean(y), float(np.var(y, ddof=1)) if y.size > 1
                       else 0.0, y.size))
     (mean0, var0, n0), (mean1, var1, n1) = sides
     return EffectEstimate(value=mean1 - mean0,
                           se=math.sqrt(var1 / n1 + var0 / n0),
-                          n_members=n0 + n1, stratum=None)
+                          n_members=n0 + n1)
 
 
 def estimate_plugin(observed: ObservedData) -> EffectEstimate:
     """Plug-in estimate of the treated-adherent stratum effect.
 
-    term1 is the experimental-arm adherer mean.  term2 averages the
-    fitted control-arm outcome line over ALL subjects, weighted by each
-    subject's marginal adherence probability under arm 1 (by quadrature,
-    see ``_marginal_pi``) - the observed-data counterpart of conditioning
+    term1 is the arm-1 adherer mean.  term2 averages the fitted arm-0
+    outcome line over ALL subjects, weighted by each subject's marginal
+    adherence probability under arm 1 (by quadrature, see
+    ``_marginal_pi``) - the observed-data counterpart of conditioning
     the control response on adherence under the other arm.  The SE is
     sqrt(sum psi_i^2)/n, psi_i subject i's influence: term1's and term2's
     ratio terms, and each fit's influence times term2's gradient in it.
     """
     term1, t2, pi, m, params = _plugin_fit(observed)
     x, y = observed.x, observed.y
-    rows = (observed.t == 1) & (observed.a == 1) & ~np.isnan(y)
-    infl = np.where(rows, y - term1, 0.0) / rows.sum()  # psi/n
+    rows1, rows0 = _adherers(observed, 1), _outcome_rows(observed)
+    infl = np.where(rows1, y - term1, 0.0) / rows1.sum()  # psi/n
 
     def term2(j: int, h: float) -> float:  # term2 at params[j] + h
         p = params.copy()
@@ -382,16 +361,15 @@ def estimate_plugin(observed: ObservedData) -> EffectEstimate:
         infl[rows] -= res * sum(ci * u for ci, u in zip(c, cols))
 
     infl -= pi * (m - t2) / float(pi.sum())
-    rows = np.flatnonzero((observed.t == 0) & ~np.isnan(y))
     # d term2 / d(intercept, slope) = (1, pi-weighted mean of x)
-    fitted(rows, (np.ones(rows.size), x[rows]), y[rows] - m[rows], 1.0,
+    fitted(rows0, (np.ones(rows0.size), x[rows0]), y[rows0] - m[rows0], 1.0,
            (1.0, float((pi * x).sum()) / float(pi.sum())))
     steps = 1e-5 * np.maximum(1.0, np.abs(params.ravel()))  # central diffs
     grad = np.reshape([(term2(j, h) - term2(j, -h)) / (2.0 * h)
                        for j, h in enumerate(steps)], params.shape)
     arm1 = np.flatnonzero(observed.t == 1)
-    for (_, at_risk, xk, zk, resp), p, g in zip(_visits(observed, 1),
-                                                params, grad):
+    for (_, at_risk, xk, zk, resp), p, g in zip(_visits(observed), params,
+                                                grad):
         rows, cols = arm1[at_risk], (np.ones(at_risk.size), xk, zk)
         mu = expit(p[0] + p[1] * xk + p[2] * zk)
         fitted(rows, cols, resp - mu, mu * (1.0 - mu), g[:3])
@@ -399,7 +377,7 @@ def estimate_plugin(observed: ObservedData) -> EffectEstimate:
         fitted(rows, cols[:2], e, 1.0, g[3:5])
         infl[rows] -= g[5] * (e * e - p[5] ** 2) / (2 * p[5] * (rows.size - 2))
     return EffectEstimate(value=term1 - t2, se=math.sqrt((infl * infl).sum()),
-                          n_members=len(observed), stratum=S_TREATED)
+                          n_members=len(observed))
 
 
 # "plugin" looks up ``_plugin_point`` per call, so a patched one is what
@@ -418,7 +396,7 @@ def _split_start(canon: ObservedData) -> LogisticFit:
     maximum to the gradient tolerance, so they differ in the last digits."""
     t_start = np.zeros(len(canon), dtype=np.int8)
     t_start[::2] = 1
-    return fit_sequential_logistic(canon.relabeled(t_start), arm=1)
+    return fit_sequential_logistic(canon.relabeled(t_start))
 
 
 def split_calibrate(observed_control: ObservedData,

@@ -86,7 +86,7 @@ def _calibration(cfg: ScenarioConfig, obs, estimator: str, R: int,
     offset-vs-truth ``_gap_check`` as (quad, gap, bound, match)."""
     # fitted before the splits: a singular arm-1 design (sigma_eta = 0)
     # fails every split the same way, so it is reported before any runs
-    fit = fit_sequential_logistic(obs, arm=1)
+    fit = fit_sequential_logistic(obs)
     cal = split_calibrate(obs.subset(obs.t == 0), estimator=estimator, R=R,
                           seed=cfg.seed, threads=threads)
     if not is_outcome_null(cfg.params):
@@ -119,8 +119,7 @@ def cmd_true_effect(args, cfg: ScenarioConfig) -> Run:
                   f"{est.value:.4f} +/- {est.se:.4f}")
     if quad is not None:
         rows.append((cfg.label, S_TREATED.code + "[quadrature]",
-                     EffectEstimate(value=quad, se=0.0, n_members=0,
-                                    stratum=S_TREATED)))
+                     EffectEstimate(value=quad, se=0.0, n_members=0)))
         print(f"S_*+ effect (quadrature): {quad:.4f}")
     if agreement is not None:
         gap, bound, agree = agreement

@@ -46,14 +46,6 @@ class StratumLabel:
     req1: Optional[int]
     code: str
 
-    def matches(self, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-        ok = np.ones(np.shape(a0), dtype=bool)
-        if self.req0 is not None:
-            ok = ok & (a0 == self.req0)
-        if self.req1 is not None:
-            ok = ok & (a1 == self.req1)
-        return ok
-
 
 S_BOTH = StratumLabel(1, 1, "S_++")         # adherent under both arms
 S_TREATED = StratumLabel(None, 1, "S_*+")   # adherent under the experimental arm
@@ -65,7 +57,6 @@ class EffectEstimate:
     value: float
     se: float
     n_members: int
-    stratum: Optional[StratumLabel] = None
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,11 @@ def exact_mean(values: np.ndarray) -> float:
 def members(data: SubjectData | MemberTable,
             label: StratumLabel) -> np.ndarray:
     """Boolean membership mask over a dataset or a member table."""
-    return label.matches(data.a[:, 0], data.a[:, 1])
+    ok = np.ones(len(data.a), dtype=bool)
+    for arm, req in enumerate((label.req0, label.req1)):
+        if req is not None:
+            ok &= data.a[:, arm] == req
+    return ok
 
 
 def _nonempty(data: SubjectData | MemberTable,
@@ -161,7 +156,7 @@ def oracle_effect(data: SubjectData | MemberTable,
         d = d[np.argsort(ids[mask])]
     value = exact_mean(d)
     se = float(np.std(d, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return EffectEstimate(value=value, se=se, n_members=m, stratum=label)
+    return EffectEstimate(value=value, se=se, n_members=m)
 
 
 def tower_check(data: SubjectData, label: StratumLabel = S_TREATED,

@@ -167,7 +167,7 @@ def test_c08_sequential_logistic_recovery():
     for s in range(20):
         obs = observe(generate(dataclasses.replace(
             DEMO, n=100_000, seed=81_000 + s)))
-        fit = fit_sequential_logistic(obs, arm=1)
+        fit = fit_sequential_logistic(obs)
         for k, vf in enumerate(fit.visits):
             for got, se, want in zip(
                     vf.coef, vf.se, (p.gamma0, p.gamma1, p.gamma3[k])):

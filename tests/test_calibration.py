@@ -15,9 +15,9 @@ from stratabias import calibration
 from stratabias.calibration import (ESTIMATORS, CalibrationError,
                                     EstimatorError, FitError,
                                     SeparationError, estimate_naive,
-                                    estimate_plugin, fit_outcome_baseline,
-                                    fit_sequential_logistic, split_calibrate,
-                                    write_calibration_csv, write_fit_csv)
+                                    estimate_plugin, fit_sequential_logistic,
+                                    split_calibrate, write_calibration_csv,
+                                    write_fit_csv)
 from stratabias.cli import main as cli_main
 from stratabias.datagen import ObservedData, generate, observe
 from stratabias.params import ScenarioConfig, load_bundled
@@ -38,8 +38,8 @@ def trial(n, seed, keep_y=True, **over):
 
 def test_logistic_recovers_generating_coefficients():
     obs = trial(100_000, seed=31)
-    fit = fit_sequential_logistic(obs, arm=1)
-    assert fit.converged
+    fit = fit_sequential_logistic(obs)
+    assert all(v.converged for v in fit.visits)
     truth = (DEMO.gamma0, DEMO.gamma1)  # gamma2 = 0 here
     for k, vf in enumerate(fit.visits):
         assert vf.visit == k + 1
@@ -52,7 +52,7 @@ def test_logistic_recovers_generating_coefficients():
 
 def test_logistic_nulls_are_recovered_as_zero():
     obs = trial(50_000, seed=32, gamma1=0.0, gamma3=[0.0, 0.0, 0.0])
-    for vf in fit_sequential_logistic(obs, arm=1).visits:
+    for vf in fit_sequential_logistic(obs).visits:
         assert abs(vf.coef[1]) <= 3.5 * vf.se[1]
         assert abs(vf.coef[2]) <= 3.5 * vf.se[2]
 
@@ -62,19 +62,19 @@ def test_near_deterministic_adherence_is_separation():
     # so the MLE walk crosses the quasi-separation cap on its way out
     obs = trial(2_000, seed=33, gamma0=0.0, gamma3=[50.0, 50.0, 50.0])
     with pytest.raises(SeparationError):
-        fit_sequential_logistic(obs, arm=1)
+        fit_sequential_logistic(obs)
 
 
 def test_sparse_later_visit_is_a_fit_error():
     obs = trial(60, seed=34, gamma0=-2.5)
     with pytest.raises(FitError, match="at-risk"):
-        fit_sequential_logistic(obs, arm=1)
+        fit_sequential_logistic(obs)
 
 
 def test_loglik_path_and_stationarity():
     """Monotone-to-slack likelihood path, and a truly stationary MLE."""
     obs = trial(20_000, seed=35)
-    fit = fit_sequential_logistic(obs, arm=1)
+    fit = fit_sequential_logistic(obs)
     rows = obs.t == 1
     x, z, a = obs.x[rows], obs.z[rows], obs.a[rows]
     for k, vf in enumerate(fit.visits):
@@ -243,35 +243,52 @@ def test_irls_from_a_start_reaches_the_same_maximum():
 
 
 def test_outcome_baseline_satisfies_normal_equations():
+    """The plug-in's arm-0 line m is least squares on the arm-0 rows with
+    an observed outcome."""
     obs = trial(20_000, seed=36)
-    m0 = fit_outcome_baseline(obs, arm=0)
+    m = calibration._plugin_fit(obs)[3]
     rows = (obs.t == 0) & ~np.isnan(obs.y)
-    resid = obs.y[rows] - m0.predict(obs.x[rows])
+    assert calibration._outcome_rows(obs).tolist() \
+        == np.flatnonzero(rows).tolist()
+    resid = obs.y[rows] - m[rows]
     scale = np.abs(obs.y[rows]).sum()
     assert abs(resid.sum()) <= 1e-10 * scale
     assert abs(resid @ obs.x[rows]) <= 1e-10 * scale * \
         np.abs(obs.x[rows]).max()
-    assert m0.n == rows.sum()
-    assert m0.predict(np.array([0.0]))[0] == m0.intercept
+
+
+def _two_arm_trial(x0, y0):
+    """Four arm-1 adherers with outcomes, then arm-0 subjects with
+    outcomes y0 (NaN: none); every x is x0, and there is one visit."""
+    y = np.concatenate([np.arange(4.0), y0])
+    n = y.size
+    return ObservedData(ids=np.arange(n), x=np.full(n, x0),
+                        t=np.repeat(np.int8([1, 0]), [4, n - 4]),
+                        z=np.zeros((n, 1)), a=np.ones(n, dtype=np.int8),
+                        y=y)
 
 
 @pytest.mark.parametrize("x0", [0.5, 0.1])
 def test_outcome_baseline_without_x_spread_is_a_fit_error(x0):
     """Equal x leave the slope undefined: a FitError, not a NaN line."""
-    n = 10
-    obs = ObservedData(ids=np.arange(n), x=np.full(n, x0),
-                       t=np.zeros(n, dtype=np.int8), z=np.zeros((n, 1)),
-                       a=np.ones(n, dtype=np.int8),
-                       y=np.arange(n, dtype=float))
-    with pytest.raises(FitError, match="arm 0"):
-        fit_outcome_baseline(obs, arm=0)
+    obs = _two_arm_trial(x0, np.arange(10.0))
+    with pytest.raises(FitError, match="outcome line in arm 0: every x "
+                       f"equals {x0!r}"):
+        calibration._plugin_point(obs)
+
+
+def test_outcome_baseline_needs_three_outcomes():
+    obs = _two_arm_trial(0.5, np.array([1.0, 2.0, np.nan, np.nan]))
+    with pytest.raises(FitError, match="^arm 0: only 2 subjects with "
+                       "observed outcome$"):
+        calibration._plugin_point(obs)
 
 
 def test_visit_z_lines_are_least_squares_on_the_at_risk_set():
     obs = trial(20_000, seed=51)
     rows = obs.t == 1
     x, z = obs.x[rows], obs.z[rows]
-    for k, vf in enumerate(fit_sequential_logistic(obs, arm=1).visits):
+    for k, vf in enumerate(fit_sequential_logistic(obs).visits):
         at_risk = ~np.isnan(z[:, k])
         X = np.column_stack([np.ones(at_risk.sum()), x[at_risk]])
         coef, ss, _, _ = np.linalg.lstsq(X, z[at_risk, k], rcond=None)
@@ -306,7 +323,7 @@ def test_marginal_pi_matches_adaptive_quadrature():
     """pi(x) at grid x-values against scipy's adaptive quadrature of the
     per-visit product of E[expit(g0 + g1*x + g3*Z_k)], Z_k = az + bz*x +
     sz*T with T ~ N(0, 1)."""
-    fit = fit_sequential_logistic(trial(20_000, seed=52), arm=1)
+    fit = fit_sequential_logistic(trial(20_000, seed=52))
     x_eval = np.linspace(-3.0, 3.0, calibration._N_GRID)
     pi = calibration._marginal_pi(
         x_eval, np.array([v.coef + v.z_line for v in fit.visits]))
@@ -335,8 +352,8 @@ def test_plugin_with_flat_weights_is_unweighted_difference():
     obs = trial(40_000, seed=41, gamma1=0.0, gamma3=[0.0, 0.0, 0.0])
     est = estimate_plugin(obs)
     rows1 = (obs.t == 1) & (obs.a == 1)
-    m0 = fit_outcome_baseline(obs, arm=0)
-    flat = exact_mean(obs.y[rows1]) - m0.predict(obs.x).mean()
+    m = calibration._plugin_fit(obs)[3]
+    flat = exact_mean(obs.y[rows1]) - m.mean()
     assert abs(est.value - flat) <= 0.01
 
 
@@ -346,10 +363,11 @@ def test_plugin_value_is_the_point():
 
 
 def test_plugin_se_reuses_the_point_fits(monkeypatch):
-    """One estimate_plugin call fits each model once and builds pi once
-    at the fit, plus the central differences' 2 per visit parameter."""
+    """One estimate_plugin call runs one fitting pass, which fits the visit
+    model once and builds pi once at the fit, plus the central
+    differences' 2 per visit parameter."""
     obs = trial(20_000, seed=54)
-    calls = dict.fromkeys(("fit_sequential_logistic", "fit_outcome_baseline",
+    calls = dict.fromkeys(("fit_sequential_logistic", "_plugin_fit",
                            "_marginal_pi"), 0)
 
     def counted(name):
@@ -363,7 +381,7 @@ def test_plugin_se_reuses_the_point_fits(monkeypatch):
     for name in calls:
         monkeypatch.setattr(calibration, name, counted(name))
     estimate_plugin(obs)
-    assert calls == {"fit_sequential_logistic": 1, "fit_outcome_baseline": 1,
+    assert calls == {"fit_sequential_logistic": 1, "_plugin_fit": 1,
                      "_marginal_pi": 1 + 2 * 6 * obs.K}
 
 
@@ -384,7 +402,7 @@ def test_plugin_se_is_the_jackknife():
     influence terms far more tightly than the spread over trials can."""
     cfg = dataclasses.replace(load_bundled("full_null_demo"), n=1_000, seed=3)
     obs = observe(generate(cfg), keep_y_after_dropout=True)
-    n, start = len(obs), fit_sequential_logistic(obs, arm=1)
+    n, start = len(obs), fit_sequential_logistic(obs)
     keep, values = np.ones(n, dtype=bool), []
     for i in range(n):
         keep[i] = False
@@ -451,8 +469,8 @@ def test_split_warm_rounds_match_cold_rounds(name, monkeypatch):
     real_fit = calibration.fit_sequential_logistic
     steps = {True: 0, False: 0}
 
-    def counting_fit(observed, arm, start=None):
-        fit = real_fit(observed, arm, start=start)
+    def counting_fit(observed, start=None):
+        fit = real_fit(observed, start=start)
         steps[start is not None] += sum(v.iterations for v in fit.visits)
         return fit
 
@@ -588,7 +606,7 @@ def test_csv_writers_round_trip(tmp_path):
     assert cells[:3] == ["demo", "naive", "5"]
     assert float(cells[3]) == cal.mean_offset
 
-    fit = fit_sequential_logistic(trial(20_000, seed=49), arm=1)
+    fit = fit_sequential_logistic(trial(20_000, seed=49))
     fit_path = tmp_path / "fit.csv"
     write_fit_csv(fit, fit_path)
     lines = fit_path.read_text().splitlines()

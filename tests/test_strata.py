@@ -59,7 +59,6 @@ def test_oracle_effect_simple_values():
                      diff=[1.0, 2.0, 100.0, 6.0])
     est = oracle_effect(data, S_TREATED)
     assert est.value == 3.0 and est.n_members == 3
-    assert est.stratum is S_TREATED
     single = oracle_effect(data, S_BOTH)
     assert single.value == 1.0 and single.se == 0.0
 

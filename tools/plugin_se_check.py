@@ -59,7 +59,7 @@ def _observed(name: str, seed: int):
 def bootstrap_se(obs, seed: int) -> tuple[float, int]:
     """(SD of the resampled plug-in points, failed resamples)."""
     n = len(obs)
-    start = fit_sequential_logistic(obs, arm=1)
+    start = fit_sequential_logistic(obs)
     values, failed = [], 0
     for b in range(N_BOOT):
         rng = np.random.default_rng([seed, b])
