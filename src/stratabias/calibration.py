@@ -244,12 +244,9 @@ def _line(x: np.ndarray, y: np.ndarray, what: str):
 def _marginal_pi(x_eval: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Marginal adherence probability under arm 1, as a function of x.
 
-    ``params`` holds the fitted arm-1 visit model, one row
-    (g0, g1, g3, az, bz, sz) per visit: a ``VisitFit``'s ``coef`` and
-    ``z_line``.  The model draws visit k's intermediate independently
-    given x, Z_k ~ N(az + bz*x, sz^2), so pi(x) is
-    prod_k E[expit(g0 + g1*x + g3*Z_k)]: the ``visit_product`` of one
-    Gaussian integral per visit, on a _PI_NODES-node rule.  A factor's
+    ``params`` is the fitted arm-1 visit model in ``visit_product``'s
+    rows, a ``VisitFit``'s ``coef`` and ``z_line`` per visit, and pi(x)
+    is their ``visit_product`` on a _PI_NODES-node rule.  A factor's
     absolute error is below 1e-15 for |g3*sz| <= 1, 1e-10 at 2 and 6e-6
     at 4 (intercepts in [-12, 12], against adaptive quadrature).  pi is
     evaluated on an x-grid spanning the data and interpolated linearly
@@ -260,9 +257,7 @@ def _marginal_pi(x_eval: np.ndarray, params: np.ndarray) -> np.ndarray:
     lo, hi = float(x_eval.min()), float(x_eval.max())
     grid = np.linspace(lo, hi, _N_GRID)
     xi, w = gauss_hermite_normal(0.0, 1.0, _PI_NODES)
-    g0, g1, g3, az, bz, sz = params.T
-    pi_grid = visit_product(
-        np.column_stack((g0 + g3 * az, g1 + g3 * bz, g3 * sz)), grid, xi, w)
+    pi_grid = visit_product(params, grid, xi, w)
     u = (x_eval - lo) * ((grid.size - 1) / (hi - lo))
     i = np.minimum(u.astype(np.intp), grid.size - 2)
     u -= i  # in place: x_eval can hold every subject
@@ -412,7 +407,8 @@ def split_calibrate(observed_control: ObservedData,
     pseudo-trial.  Round i's one random draw is its split, from the RNG
     stream [seed, i], so offsets do not depend on the ``threads`` (>= 1)
     workers.  Failed rounds are skipped; over 10% raises CalibrationError.
-    "plugin" rounds start from ``_split_start``, or from 0 if it fails.
+    "plugin" rounds start from ``_split_start``; its FitError propagates
+    before any round runs, as each round fits the same design on a half.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; "
@@ -433,11 +429,7 @@ def split_calibrate(observed_control: ObservedData,
              else observed_control.subset(np.argsort(ids)))
     half = n // 2
     if estimator == "plugin":
-        try:
-            start = _split_start(canon)
-        except FitError:
-            start = None
-        fn = functools.partial(fn, start=start)
+        fn = functools.partial(fn, start=_split_start(canon))
 
     def one(i: int):
         t_new = np.zeros(n, dtype=np.int8)

@@ -81,19 +81,16 @@ def _oracles(cfg: ScenarioConfig, method: str = "both", **quad_options):
 
 def _calibration(cfg: ScenarioConfig, obs, estimator: str, R: int,
                  threads: int):
-    """(fit, cal, truth): the arm-1 fit, the control arm's split
-    calibration and, on an outcome-null scenario, the closed form and the
-    offset-vs-truth ``_gap_check`` as (quad, gap, bound, match)."""
-    # fitted before the splits: a singular arm-1 design (sigma_eta = 0)
-    # fails every split the same way, so it is reported before any runs
-    fit = fit_sequential_logistic(obs)
+    """(cal, truth): the control arm's split calibration and, on an
+    outcome-null scenario, the closed form and the offset-vs-truth
+    ``_gap_check`` as (quad, gap, bound, match)."""
     cal = split_calibrate(obs.subset(obs.t == 0), estimator=estimator, R=R,
                           seed=cfg.seed, threads=threads)
     if not is_outcome_null(cfg.params):
-        return fit, cal, None
+        return cal, None
     quad = null_stratum_effect(cfg.params)
-    return fit, cal, (quad, *_gap_check(cal.mean_offset, quad, cal.se_offset,
-                                        _CALIBRATION_SIGMAS))
+    return cal, (quad, *_gap_check(cal.mean_offset, quad, cal.se_offset,
+                                   _CALIBRATION_SIGMAS))
 
 
 def cmd_simulate(args, cfg: ScenarioConfig) -> Run:
@@ -133,8 +130,10 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Run:
     obs = observe(generate(cfg), keep_y_after_dropout=True)
     print(f"scenario '{cfg.label}': estimator={args.estimator}, "
           f"R={args.R}, control n={int((obs.t == 0).sum())}")
-    fit, cal, truth = _calibration(cfg, obs, args.estimator, args.R,
-                                   args.threads)
+    # fit.csv's arm-1 fit, before the splits: a singular design
+    # (sigma_eta = 0) is reported before any round runs
+    fit = fit_sequential_logistic(obs) if args.estimator == "plugin" else None
+    cal, truth = _calibration(cfg, obs, args.estimator, args.R, args.threads)
     print(f"mean offset: {cal.mean_offset:.4f} +/- {cal.se_offset:.4f} "
           f"({cal.n_failed} failed splits)")
     if truth is not None:
@@ -143,9 +142,11 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Run:
         print(f"true stratum effect (quadrature): {quad:.4f}")
         print(f"verdict: |offset - true| = {gap:.4f} vs "
               f"{_CALIBRATION_SIGMAS}*SE = {bound:.4f} -> {verdict}")
-    return {"calibration.csv":
-            lambda p: write_calibration_csv([(cfg.label, cal)], p),
-            "fit.csv": lambda p: write_fit_csv(fit, p)}, 0
+    outputs = {"calibration.csv":
+               lambda p: write_calibration_csv([(cfg.label, cal)], p)}
+    if fit is not None:
+        outputs["fit.csv"] = lambda p: write_fit_csv(fit, p)
+    return outputs, 0
 
 
 def _demo_claims(seed_override, threads):
@@ -189,8 +190,7 @@ def _demo_claims(seed_override, threads):
     # 5: control-split calibration misses the truth under a partial null.
     cfg = load("partial_null_gamma2")
     obs = observe(generate(cfg), keep_y_after_dropout=True)
-    _, cal, (quad, _, _, match) = _calibration(cfg, obs, "plugin", 200,
-                                                threads)
+    cal, (quad, _, _, match) = _calibration(cfg, obs, "plugin", 200, threads)
     claims.append((
         "control-split calibration misses the stratum effect under a "
         "partial null (gamma2 != 0)",

@@ -19,25 +19,19 @@ with, for xi ~ N(0, sigma_eta^2),
 
     D_k(x) = E_xi[ w_k(x, xi) ]        (adherence weight at visit k)
     N_k(x) = E_xi[ xi * w_k(x, xi) ]   (noise tilted by that weight)
-    w_k(x, xi) = expit((gamma0 + gamma2 + gamma3_k*(alpha0_k + alpha2_k))
-                       + (gamma1 + gamma3_k*alpha1_k) * x
-                       + gamma3_k * xi)
 
-The eta_k are independent across visits, so the expectation factors
-visit by visit.  Every factor is a one-dimensional Gaussian integral,
-and ``visit_product`` evaluates them by Gauss-Hermite quadrature and
-forms both the product over visits and the sum above; the plug-in
-estimator's marginal adherence weight is that product too.  gamma2 and
-alpha2 enter the intercept because adherence is evaluated under the
-experimental arm.  With alpha2 = 0 and beta2 = 0 (an outcome null) a
-nonzero gamma2 changes who adheres but not the outcome, which is
-exactly the regime where control-arm calibration stops matching this
-quantity.
-
-On a rule the weight's exponent is a sum a(x) + b(xi), so the logistic
-factors into one exp per x node and one per xi node instead of one per
-(x, xi) cell.  A visit whose |a| or |b| exceeds 700 keeps scipy's
-per-cell expit, because past that the two exps could form inf * 0.
+and w_k(x, xi) the adherence weight of arm 1's visit model at
+eta_k = xi, whose ``visit_product`` row for visit k is (gamma0 + gamma2,
+gamma1, gamma3_k, alpha0_k + alpha2_k, alpha1_k, sigma_eta).  The eta_k
+are independent across visits, so the expectation factors visit by
+visit, and ``visit_product`` evaluates each factor by Gauss-Hermite
+quadrature and forms both the product over visits and the sum above;
+the plug-in estimator's marginal adherence weight is that product too,
+from the fitted rows.  gamma2 and alpha2 enter the row because
+adherence is evaluated under the experimental arm.  With alpha2 = 0 and
+beta2 = 0 (an outcome null) a nonzero gamma2 changes who adheres but
+not the outcome, which is exactly the regime where control-arm
+calibration stops matching this quantity.
 """
 
 from __future__ import annotations
@@ -99,10 +93,13 @@ def gauss_hermite_normal(mu: float, sigma: float, nodes: int):
     return mu + math.sqrt(2.0) * sigma * h, w
 
 
-def visit_product(c, x: np.ndarray, xi: np.ndarray, w: np.ndarray,
+def visit_product(model, x: np.ndarray, xi: np.ndarray, w: np.ndarray,
                   beta3=None):
-    """prod_k D_k(x) at each x, D_k(x) = E[expit(c0 + c1*x + s*Xi)] for
-    Xi ~ N(0, 1) and visit k's row (c0, c1, s) of ``c``, from the
+    """prod_k D_k(x) at each x for arm 1's visit model ``model``, one row
+    (g0, g1, g3, az, bz, sz) per visit: logit Pr(adhere at k) = g0 + g1*x
+    + g3*Z_k with Z_k ~ N(az + bz*x, sz^2) given x.  So visit k's factor
+    is D_k(x) = E[expit(c0 + c1*x + s*Xi)] for Xi ~ N(0, 1), with
+    c0 = g0 + g3*az, c1 = g1 + g3*bz and s = g3*sz, from the
     standard-normal rule (xi, w) of ``gauss_hermite_normal``.  With
     ``beta3``, (prod_k D_k, sum_k beta3_k N_k prod_{k' != k} D_k') where
     N_k(x) = E[Xi * expit(c0 + c1*x + s*Xi)].  Reduced by numpy sums, not
@@ -119,9 +116,9 @@ def visit_product(c, x: np.ndarray, xi: np.ndarray, w: np.ndarray,
     # N_k * prod_{k' != k} D_k', both over the visits so far
     den = np.ones(x.size)
     num = np.zeros(x.size)
-    for k, (c0, c1, s) in enumerate(c):
-        a = c0 + c1 * x
-        b = s * xi
+    for k, (g0, g1, g3, az, bz, sz) in enumerate(model):
+        a = (g0 + g3 * az) + (g1 + g3 * bz) * x
+        b = (g3 * sz) * xi
         if np.abs(a).max() <= _EXP_MAX and np.abs(b).max() <= _EXP_MAX:
             with np.errstate(over="ignore"):
                 p = np.multiply.outer(np.exp(-a), np.exp(-b))
@@ -142,10 +139,10 @@ def _evaluate(p: ModelParams, nodes_x: int, nodes_xi: int) -> float:
     by nodes_xi nodes."""
     xs, wx = gauss_hermite_normal(p.mu_x, p.sigma_x, nodes_x)
     xi, wxi = gauss_hermite_normal(0.0, 1.0, nodes_xi)
-    c = [(p.gamma0 + p.gamma2 + g3 * (a0 + a2), p.gamma1 + g3 * a1,
-          g3 * p.sigma_eta)
-         for g3, a0, a1, a2 in zip(p.gamma3, p.alpha0, p.alpha1, p.alpha2)]
-    den, num = visit_product(c, xs, xi, wxi, p.beta3)
+    model = [(p.gamma0 + p.gamma2, p.gamma1, g3, a0 + a2, a1, p.sigma_eta)
+             for g3, a0, a1, a2 in zip(p.gamma3, p.alpha0, p.alpha1,
+                                       p.alpha2)]
+    den, num = visit_product(model, xs, xi, wxi, p.beta3)
     total = float((wx * den).sum())
     if total <= 0.0:
         raise QuadratureError("adherence probability underflowed to zero")

@@ -485,38 +485,46 @@ def test_split_warm_rounds_match_cold_rounds(name, monkeypatch):
                                atol=1e-12)
 
 
-def test_split_without_a_start_fit_runs_cold(monkeypatch):
+def test_split_start_failure_is_raised_before_any_round(monkeypatch):
+    """Every plug-in round fits the start fit's design on a same-size
+    half of the arm, so its FitError ends the calibration at once."""
     ctrl = control_arm(20_000, seed=62)
-    monkeypatch.setitem(ESTIMATORS, "cold_plugin", _cold_plugin)
-    cold = split_calibrate(ctrl, "cold_plugin", R=4, seed=4)
+    rounds = []
+    real_point = calibration._plugin_point
+
+    def counted_point(obs, start=None):
+        rounds.append(start)
+        return real_point(obs, start)
 
     def no_start(canon):
         raise FitError("synthetic start failure")
 
+    monkeypatch.setattr(calibration, "_plugin_point", counted_point)
     monkeypatch.setattr(calibration, "_split_start", no_start)
-    fallback = split_calibrate(ctrl, "plugin", R=4, seed=4)
-    assert fallback.offsets == cold.offsets
-    assert fallback.n_failed == cold.n_failed == 0
+    with pytest.raises(FitError, match="synthetic start failure"):
+        split_calibrate(ctrl, "plugin", R=4, seed=4)
+    assert rounds == []
+    # sigma_eta = 0: the singular start fit itself, not 20 failed rounds
+    monkeypatch.undo()
+    with pytest.raises(SeparationError, match="singular information"):
+        split_calibrate(control_arm(20_000, seed=62, sigma_eta=0.0),
+                        "plugin", R=20, seed=4)
 
 
-def test_calibrate_fit_csv_is_the_cold_fit(tmp_path, monkeypatch, capsys):
-    """The CLI's own arm-1 fit, written to fit.csv, is never warm-started."""
+def test_calibrate_fit_csv_is_the_cold_fit(tmp_path, capsys):
+    """The CLI's own arm-1 fit, written to fit.csv, is never warm-started:
+    it is the cold fit of the whole trial."""
+    cfg = dataclasses.replace(load_bundled("partial_null_gamma2"), n=20_000,
+                              seed=8)
     path = tmp_path / "scenario.json"
-    doc = load_bundled("partial_null_gamma2").to_dict()
-    doc.update(n=20_000, seed=8)
-    path.write_text(json.dumps(doc))
-    argv = ["calibrate", str(path), "--R", "4"]
-    assert cli_main(argv + ["--out", str(tmp_path / "warm")]) == 0
-
-    def no_start(canon):
-        raise FitError("synthetic start failure")
-
-    monkeypatch.setattr(calibration, "_split_start", no_start)
-    assert cli_main(argv + ["--out", str(tmp_path / "cold")]) == 0
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert cli_main(["calibrate", str(path), "--R", "4",
+                     "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()
-    warm, cold = ((tmp_path / side / "fit.csv").read_bytes()
-                  for side in ("warm", "cold"))
-    assert warm == cold
+    obs = observe(generate(cfg), keep_y_after_dropout=True)
+    write_fit_csv(fit_sequential_logistic(obs), tmp_path / "cold.csv")
+    assert (tmp_path / "run" / "fit.csv").read_bytes() \
+        == (tmp_path / "cold.csv").read_bytes()
 
 
 def test_split_failure_accounting(monkeypatch):

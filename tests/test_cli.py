@@ -185,9 +185,9 @@ def test_calibrate_naive_flags_the_bias(tmp_path, capsys):
     assert lines[0] == ("scenario_label,estimator,R,mean_offset,"
                         "se_offset,n_failed_splits")
     assert lines[1].split(",")[1] == "naive"
-    fit_lines = (out / "fit.csv").read_text().splitlines()
-    assert len(fit_lines) == 1 + 3
-    assert read_manifest(out)["outputs"] == ["calibration.csv", "fit.csv"]
+    # the naive estimator fits no visit model, so there is no fit.csv
+    assert not (out / "fit.csv").exists()
+    assert read_manifest(out)["outputs"] == ["calibration.csv"]
 
 
 def test_calibrate_plugin_small_run(tmp_path, capsys):
@@ -286,6 +286,22 @@ def test_calibrate_singular_design_fails_before_splitting(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "singular information matrix" in err
     assert "replicates failed" not in err
+
+
+def test_calibrate_naive_needs_no_visit_fit(tmp_path, capsys):
+    """The naive estimator reads no arm-1 visit model, so a design that
+    the plug-in cannot fit (sigma_eta = 0) still calibrates."""
+    doc = load_bundled("sigma_eta_zero").to_dict()
+    doc.update(n=20_000)
+    scen = tmp_path / "sigma_eta_zero.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "r"
+    rc = main(["calibrate", str(scen), "--estimator", "naive", "--R", "20",
+               "--threads", "1", "--out", str(out)])
+    assert rc == 0
+    assert "-> MATCH" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["calibration.csv",
+                                                     "manifest.json"]
 
 
 def test_calibration_is_independent_of_blas_threads(tmp_path):

@@ -134,9 +134,12 @@ def _reference_visit_factor(c0, c1, s, x, xi, w, tilted=False):
     return (d, (p * xi).sum(axis=1)) if tilted else d
 
 
-def _reference_product(c, x, xi, w, beta3=None):
+def _reference_product(model, x, xi, w, beta3=None):
     """The visit loops as written before ``visit_product``: the closed
-    form's product rule with ``beta3``, the plug-in's pi(x) without."""
+    form's product rule with ``beta3``, the plug-in's pi(x) without, on
+    the (c0, c1, s) rows the model rows give."""
+    c = [(g0 + g3 * az, g1 + g3 * bz, g3 * sz)
+         for g0, g1, g3, az, bz, sz in model]
     if beta3 is None:
         pi = np.ones(x.size)
         for c0, c1, s in c:
@@ -160,18 +163,20 @@ def test_visit_product_agrees_with_the_visit_loops(data, k, nodes_x,
                                                    nodes_xi, tilted):
     """The factored logistic against the per-cell expit loops: products
     to 1e-13 relative, the tilted sum to 1e-13 of den * sum|beta3| (it
-    can cancel to near 0, where a relative bound means nothing)."""
+    can cancel to near 0, where a relative bound means nothing).  Each
+    drawn (c0, c1, s) is the model row (c0, c1, s, 0, 0, 1)."""
     def num(lo, hi):
         return data.draw(st.floats(min_value=lo, max_value=hi))
 
-    c = [(num(-6.0, 6.0), num(-2.0, 2.0), num(-3.0, 3.0)) for _ in range(k)]
+    model = [(num(-6.0, 6.0), num(-2.0, 2.0), num(-3.0, 3.0), 0.0, 0.0, 1.0)
+             for _ in range(k)]
     beta3 = [num(-2.0, 2.0) for _ in range(k)] if tilted else None
     x, _ = gauss_hermite_normal(num(-1.0, 1.0), num(0.1, 2.0), nodes_x)
     xi, w = gauss_hermite_normal(0.0, 1.0, nodes_xi)
-    want = _reference_product(c, x, xi, w, beta3)
-    got = visit_product(c, x, xi, w, beta3)
+    want = _reference_product(model, x, xi, w, beta3)
+    got = visit_product(model, x, xi, w, beta3)
     # as _evaluate and _marginal_pi pass them: a list of rows, an array
-    again = visit_product(np.array(c), x, xi, w, beta3)
+    again = visit_product(np.array(model), x, xi, w, beta3)
     if tilted:
         assert all(g.tobytes() == a.tobytes() for g, a in zip(got, again))
         den, want_den = got[0], want[0]
@@ -193,18 +198,20 @@ def _normal_moment(c0, c1, s, x, power):
 
 def test_visit_product_matches_adaptive_quadrature():
     """Each visit's D and tilted N on the plug-in's 64-node rule, and
-    their product over visits, against scipy's adaptive quadrature."""
+    their product over visits, against scipy's adaptive quadrature; each
+    (c0, c1, s) is the model row (c0, c1, s, 0, 0, 1)."""
     c = [(1.2, 0.3, 0.5), (-0.8, -0.4, 0.9), (2.5, 0.6, -0.7)]
+    model = [row + (0.0, 0.0, 1.0) for row in c]
     x = np.linspace(-3.0, 3.0, 13)
     xi, w = gauss_hermite_normal(0.0, 1.0, calibration._PI_NODES)
     want = np.ones(x.size)
-    for row in c:
-        d, n = visit_product([row], x, xi, w, beta3=[1.0])
+    for row, visit in zip(c, model):
+        d, n = visit_product([visit], x, xi, w, beta3=[1.0])
         for i, xv in enumerate(x):
             assert abs(d[i] - _normal_moment(*row, xv, 0)) <= 1e-10
             assert abs(n[i] - _normal_moment(*row, xv, 1)) <= 1e-10
         want *= [_normal_moment(*row, xv, 0) for xv in x]
-    assert np.max(np.abs(visit_product(c, x, xi, w) - want)) <= 1e-10
+    assert np.max(np.abs(visit_product(model, x, xi, w) - want)) <= 1e-10
 
 
 def _outcome(p):
@@ -226,9 +233,9 @@ def test_rows_past_the_exp_guard_keep_the_per_cell_logistic(overrides,
     p = params(**overrides)
     xs, _ = gauss_hermite_normal(p.mu_x, p.sigma_x, 128)
     xi, w = gauss_hermite_normal(0.0, 1.0, 128)
-    c = [(p.gamma0 + p.gamma2 + g3 * (a0 + a2), p.gamma1 + g3 * a1,
-          g3 * p.sigma_eta)
-         for g3, a0, a1, a2 in zip(p.gamma3, p.alpha0, p.alpha1, p.alpha2)]
+    model = [(p.gamma0 + p.gamma2, p.gamma1, g3, a0 + a2, a1, p.sigma_eta)
+             for g3, a0, a1, a2 in zip(p.gamma3, p.alpha0, p.alpha1,
+                                       p.alpha2)]
     with monkeypatch.context() as m:
         m.setattr(quadrature, "visit_product", _reference_product)
         want = _outcome(p)
@@ -237,8 +244,8 @@ def test_rows_past_the_exp_guard_keep_the_per_cell_logistic(overrides,
         warnings.simplefilter("error")
         assert _outcome(p) == want
         for beta3 in (None, p.beta3):
-            got = visit_product(c, xs, xi, w, beta3)
-            ref = _reference_product(c, xs, xi, w, beta3)
+            got = visit_product(model, xs, xi, w, beta3)
+            ref = _reference_product(model, xs, xi, w, beta3)
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 

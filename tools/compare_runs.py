@@ -22,12 +22,13 @@ directory.  Per invocation it compares:
 The list covers every bundled scenario through ``simulate`` and through
 ``true-effect`` with each ``--method``, ``true-effect --method
 quadrature`` off the outcome null (``beta2 = 0.3``), ``calibrate`` with
-both estimators, three runs that fail after their scenario loads, one that
-``calibrate`` rejects as a usage error (``--no-keep-y``: it always keeps
-outcomes), and ``paper-demo`` with and without ``--seed``.  Outputs are
-deleted once compared.  It takes a few minutes on two cores and is not
-part of the test suite.  Exit status: 0 when every run matches, 1
-otherwise.
+both estimators, ``calibrate sigma_eta_zero`` with the naive estimator
+(which fits no visit model), three runs that fail after their scenario
+loads, one that ``calibrate`` rejects as a usage error (``--no-keep-y``:
+it always keeps outcomes), and ``paper-demo`` with and without
+``--seed``.  Outputs are deleted once compared.  It takes a few minutes
+on two cores and is not part of the test suite.  Exit status: 0 when
+every run matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ def invocations(scenarios: list[str], work: Path) -> list[tuple[str, list]]:
          ["calibrate", "{full_null_demo}", "--R", "1", "--threads", "2"]),
         ("fails: calibrate sigma_eta_zero",
          ["calibrate", "{sigma_eta_zero}", "--threads", "2"]),
+        ("calibrate sigma_eta_zero --estimator naive",
+         ["calibrate", "{sigma_eta_zero}", "--estimator", "naive",
+          "--threads", "2"]),
         ("paper-demo", ["paper-demo", "--threads", "2"]),
         ("paper-demo --seed 11",
          ["paper-demo", "--threads", "2", "--seed", "11"]),
