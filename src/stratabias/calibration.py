@@ -68,33 +68,21 @@ class CalibrationError(RuntimeError):
     """Too many splits failed to calibrate against."""
 
 
-@dataclass(frozen=True)
-class VisitFit:
-    """One visit's logistic fit: logit Pr(adhere) = g0 + g1*x + g3*z,
-    and the least-squares line z ~ x on the same at-risk subjects."""
-
-    visit: int
-    coef: tuple[float, float, float]
-    se: tuple[float, float, float]
-    n_at_risk: int
-    loglik_path: tuple[float, ...]
-    converged: bool
-    z_line: tuple[float, float, float]  # (intercept, slope_x, residual_sd)
-
-    @property
-    def loglik(self) -> float:
-        return self.loglik_path[-1]
-
-    @property
-    def iterations(self) -> int:
-        return len(self.loglik_path) - 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogisticFit:
-    """Sequential per-visit logistic fits of arm 1."""
+    """Sequential per-visit fits of arm 1, one row or entry per visit.
 
-    visits: tuple[VisitFit, ...]
+    ``model`` holds ``visit_product``'s rows (g0, g1, g3, az, bz, sz):
+    logit Pr(adhere) = g0 + g1*x + g3*z, and the least-squares line
+    z ~ az + bz*x with residual SD sz on the same at-risk subjects.
+    ``se`` holds the SEs of (g0, g1, g3).  Both arrays are read-only,
+    as the split rounds share one fit."""
+
+    model: np.ndarray  # (K, 6)
+    se: np.ndarray  # (K, 3)
+    n_at_risk: tuple[int, ...]
+    loglik_paths: tuple[tuple[float, ...], ...]
+    converged: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -196,20 +184,21 @@ def fit_sequential_logistic(observed: ObservedData,
     k-1, i.e. everyone whose z_k was recorded; the response is survival
     through visit k (z_{k+1} recorded, or final adherence at the last
     visit).  The arm's intercept shift is absorbed into g0.  Each
-    visit's ``z_line`` is fitted on the same at-risk subjects.
+    visit's z line is fitted on the same at-risk subjects.
     ``start``, a fit with the same visits, gives each visit's Newton
     starting point; without it Newton starts from 0.
     """
     visits = []
     for k, (what, at_risk, xk, zk, resp) in enumerate(_visits(observed)):
-        guess = None if start is None else start.visits[k].coef
+        guess = None if start is None else start.model[k, :3]
         beta, se, path, _, conv = _irls(xk, zk, resp, what, guess)
-        visits.append(VisitFit(
-            visit=k + 1, coef=tuple(map(float, beta)),
-            se=tuple(map(float, se)), n_at_risk=at_risk.size,
-            loglik_path=path, converged=conv,
-            z_line=_line(xk, zk, f"z line of {what}")))
-    return LogisticFit(visits=tuple(visits))
+        visits.append(((*beta, *_line(xk, zk, f"z line of {what}")), se,
+                       at_risk.size, path, conv))
+    model, se, n_at_risk, paths, converged = zip(*visits)
+    model, se = np.array(model), np.array(se)
+    model.setflags(write=False)
+    se.setflags(write=False)
+    return LogisticFit(model, se, n_at_risk, paths, converged)
 
 
 def _visits(observed: ObservedData):
@@ -245,10 +234,10 @@ def _marginal_pi(x_eval: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Marginal adherence probability under arm 1, as a function of x.
 
     ``params`` is the fitted arm-1 visit model in ``visit_product``'s
-    rows, a ``VisitFit``'s ``coef`` and ``z_line`` per visit, and pi(x)
-    is their ``visit_product`` on a _PI_NODES-node rule.  A factor's
-    absolute error is below 1e-15 for |g3*sz| <= 1, 1e-10 at 2 and 6e-6
-    at 4 (intercepts in [-12, 12], against adaptive quadrature).  pi is
+    rows, ``LogisticFit.model``, and pi(x) is their ``visit_product`` on
+    a _PI_NODES-node rule.  A factor's absolute error is below 1e-15 for
+    |g3*sz| <= 1, 1e-10 at 2 and 6e-6 at 4 (intercepts in [-12, 12],
+    against adaptive quadrature).  pi is
     evaluated on an x-grid spanning the data and interpolated linearly
     to the subjects.  ``x_eval`` always has spread: ``_plugin_fit``
     fits the arm-0 outcome line on a subset of it first, and ``_line``
@@ -292,8 +281,7 @@ def _plugin_fit(observed: ObservedData, start: LogisticFit | None = None):
     rows0 = _outcome_rows(observed)
     a0, b0, _ = _line(x[rows0], y[rows0], "outcome line in arm 0")
     del rows0  # not held through the fits, which set a round's peak memory
-    fit = fit_sequential_logistic(observed, start=start)
-    params = np.array([v.coef + v.z_line for v in fit.visits])
+    params = fit_sequential_logistic(observed, start=start).model
     pi = _marginal_pi(x, params)
     total = float(pi.sum())
     if total <= 0.0:
@@ -465,10 +453,11 @@ def write_calibration_csv(rows: list[tuple[str, SplitCalibration]],
 
 def write_fit_csv(fit: LogisticFit, path: str | Path) -> None:
     """Per-visit coefficient dump for a sequential logistic fit."""
-    vs = fit.visits
-    coef, se = np.array([v.coef for v in vs]), np.array([v.se for v in vs])
-    write_table(path, [("visit", [v.visit for v in vs])]
-                + [(f"g{j}", coef[:, i]) for i, j in enumerate("013")]
-                + [(f"se_g{j}", se[:, i]) for i, j in enumerate("013")]
-                + [(name, [getattr(v, name) for v in vs]) for name in
-                   ("n_at_risk", "loglik", "iterations", "converged")])
+    paths = fit.loglik_paths
+    write_table(path, [("visit", range(1, len(paths) + 1))]
+                + [(f"g{j}", fit.model[:, i]) for i, j in enumerate("013")]
+                + [(f"se_g{j}", fit.se[:, i]) for i, j in enumerate("013")]
+                + [("n_at_risk", fit.n_at_risk),
+                   ("loglik", [p[-1] for p in paths]),
+                   ("iterations", [len(p) - 1 for p in paths]),
+                   ("converged", fit.converged)])

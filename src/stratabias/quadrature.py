@@ -53,6 +53,8 @@ _ABS_FLOOR = 1e-12
 # e^700 and e^-700 are finite and nonzero (the limits are near 709 and
 # -745), so no inf * 0 can form in the outer product.
 _EXP_MAX = 700.0
+# numpy's Gauss-Hermite rule has NaN weights from this many nodes up.
+_NAN_NODES = 372
 
 
 class QuadratureError(ValueError):
@@ -77,7 +79,7 @@ def _rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's Gauss-Hermite rule at ``nodes`` nodes, weights divided by
     sqrt(pi): built once per process and shared, so both arrays are
     read-only."""
-    # NaN weights from 372 nodes: null_stratum_effect reports them instead
+    # NaN weights from _NAN_NODES: null_stratum_effect asks for none of them
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         h, w = np.polynomial.hermite.hermgauss(nodes)
     w = w / math.sqrt(math.pi)
@@ -167,9 +169,13 @@ def null_stratum_effect(params: ModelParams, nodes: int = 64) -> float:
         # degenerate intermediates: nothing to tilt, no selection term
         return delta
 
-    coarse = _evaluate(params, nodes, nodes)
-    fine = _evaluate(params, 2 * nodes, 2 * nodes)
-    if not math.isfinite(coarse + fine):  # numpy's rule fails past ~370 nodes
+    # refused counts build no rule: each needs nodes^2 memory, then fails
+    finite = 2 * nodes < _NAN_NODES
+    if finite:
+        coarse = _evaluate(params, nodes, nodes)
+        fine = _evaluate(params, 2 * nodes, 2 * nodes)
+        finite = math.isfinite(coarse + fine)
+    if not finite:
         raise QuadratureError(f"non-finite value at {nodes} or {2 * nodes} nodes")
     if abs(fine - coarse) > max(_REL_TOL * max(abs(fine), abs(coarse)),
                                 _ABS_FLOOR):

@@ -168,9 +168,9 @@ def test_c08_sequential_logistic_recovery():
         obs = observe(generate(dataclasses.replace(
             DEMO, n=100_000, seed=81_000 + s)))
         fit = fit_sequential_logistic(obs)
-        for k, vf in enumerate(fit.visits):
+        for k, (coef, se_k) in enumerate(zip(fit.model[:, :3], fit.se)):
             for got, se, want in zip(
-                    vf.coef, vf.se, (p.gamma0, p.gamma1, p.gamma3[k])):
+                    coef, se_k, (p.gamma0, p.gamma1, p.gamma3[k])):
                 total += 1
                 misses += abs(got - want) > 3.5 * se
     _report(8, f"{misses}/{total} coefficient comparisons outside "

@@ -1,5 +1,6 @@
 """Fitting, plug-in estimation, and split-based null calibration."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -39,22 +40,22 @@ def trial(n, seed, keep_y=True, **over):
 def test_logistic_recovers_generating_coefficients():
     obs = trial(100_000, seed=31)
     fit = fit_sequential_logistic(obs)
-    assert all(v.converged for v in fit.visits)
+    assert all(fit.converged)
     truth = (DEMO.gamma0, DEMO.gamma1)  # gamma2 = 0 here
-    for k, vf in enumerate(fit.visits):
-        assert vf.visit == k + 1
-        for got, se, want in zip(vf.coef, vf.se,
-                                 truth + (DEMO.gamma3[k],)):
+    assert fit.model.shape == (DEMO.K, 6) and fit.se.shape == (DEMO.K, 3)
+    for k, (coef, se_k) in enumerate(zip(fit.model[:, :3], fit.se)):
+        for got, se, want in zip(coef, se_k, truth + (DEMO.gamma3[k],)):
             assert abs(got - want) <= 3.5 * se
-    at_risk = [vf.n_at_risk for vf in fit.visits]
+    at_risk = list(fit.n_at_risk)
     assert at_risk == sorted(at_risk, reverse=True)
 
 
 def test_logistic_nulls_are_recovered_as_zero():
     obs = trial(50_000, seed=32, gamma1=0.0, gamma3=[0.0, 0.0, 0.0])
-    for vf in fit_sequential_logistic(obs).visits:
-        assert abs(vf.coef[1]) <= 3.5 * vf.se[1]
-        assert abs(vf.coef[2]) <= 3.5 * vf.se[2]
+    fit = fit_sequential_logistic(obs)
+    for coef, se in zip(fit.model[:, :3], fit.se):
+        assert abs(coef[1]) <= 3.5 * se[1]
+        assert abs(coef[2]) <= 3.5 * se[2]
 
 
 def test_near_deterministic_adherence_is_separation():
@@ -77,11 +78,10 @@ def test_loglik_path_and_stationarity():
     fit = fit_sequential_logistic(obs)
     rows = obs.t == 1
     x, z, a = obs.x[rows], obs.z[rows], obs.a[rows]
-    for k, vf in enumerate(fit.visits):
-        steps = np.diff(np.asarray(vf.loglik_path))
+    for k, path in enumerate(fit.loglik_paths):
+        steps = np.diff(np.asarray(path))
         assert steps.min() >= -1e-8
-        assert vf.loglik == vf.loglik_path[-1]
-        assert vf.converged and vf.iterations == len(vf.loglik_path) - 1
+        assert fit.converged[k]
 
         at_risk = ~np.isnan(z[:, k])
         if k + 1 < obs.K:
@@ -90,7 +90,7 @@ def test_loglik_path_and_stationarity():
             r = (a[at_risk] == 1).astype(float)
         X = np.column_stack([np.ones(at_risk.sum()), x[at_risk],
                              z[at_risk, k]])
-        grad = X.T @ (r - expit(X @ np.asarray(vf.coef)))
+        grad = X.T @ (r - expit(X @ fit.model[k, :3]))
         assert np.abs(grad).max() <= 1e-8
 
 
@@ -288,12 +288,26 @@ def test_visit_z_lines_are_least_squares_on_the_at_risk_set():
     obs = trial(20_000, seed=51)
     rows = obs.t == 1
     x, z = obs.x[rows], obs.z[rows]
-    for k, vf in enumerate(fit_sequential_logistic(obs).visits):
+    fit = fit_sequential_logistic(obs)
+    for k, n_at_risk in enumerate(fit.n_at_risk):
         at_risk = ~np.isnan(z[:, k])
         X = np.column_stack([np.ones(at_risk.sum()), x[at_risk]])
         coef, ss, _, _ = np.linalg.lstsq(X, z[at_risk, k], rcond=None)
-        sd = math.sqrt(ss[0] / (vf.n_at_risk - 2))
-        np.testing.assert_allclose(vf.z_line, (*coef, sd), rtol=1e-9)
+        sd = math.sqrt(ss[0] / (n_at_risk - 2))
+        np.testing.assert_allclose(fit.model[k, 3:], (*coef, sd), rtol=1e-9)
+
+
+def test_fit_model_is_the_plugin_params_and_read_only():
+    """The plug-in reads the fit's (K, 6) model as it is, and the record's
+    arrays, shared by the split rounds, cannot be written."""
+    obs = trial(20_000, seed=55)
+    fit = fit_sequential_logistic(obs)
+    params = calibration._plugin_fit(obs)[4]
+    assert params.shape == fit.model.shape == (obs.K, 6)
+    assert params.tobytes() == fit.model.tobytes()
+    for arr in (fit.model, fit.se):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
 
 
 # ----------------------------------------------------------- estimators
@@ -325,14 +339,11 @@ def test_marginal_pi_matches_adaptive_quadrature():
     sz*T with T ~ N(0, 1)."""
     fit = fit_sequential_logistic(trial(20_000, seed=52))
     x_eval = np.linspace(-3.0, 3.0, calibration._N_GRID)
-    pi = calibration._marginal_pi(
-        x_eval, np.array([v.coef + v.z_line for v in fit.visits]))
+    pi = calibration._marginal_pi(x_eval, fit.model)
     for i in np.linspace(0, x_eval.size - 1, 20).astype(int):
         x = x_eval[i]
         want = 1.0
-        for vf in fit.visits:
-            (g0, g1, g3), (az, bz, sz) = vf.coef, vf.z_line
-
+        for g0, g1, g3, az, bz, sz in fit.model:
             def f(t):
                 return expit(g0 + g1 * x + g3 * (az + bz * x + sz * t)) \
                     * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
@@ -471,7 +482,8 @@ def test_split_warm_rounds_match_cold_rounds(name, monkeypatch):
 
     def counting_fit(observed, start=None):
         fit = real_fit(observed, start=start)
-        steps[start is not None] += sum(v.iterations for v in fit.visits)
+        steps[start is not None] += sum(len(p) - 1
+                                        for p in fit.loglik_paths)
         return fit
 
     monkeypatch.setattr(calibration, "fit_sequential_logistic", counting_fit)
@@ -620,4 +632,17 @@ def test_csv_writers_round_trip(tmp_path):
     lines = fit_path.read_text().splitlines()
     assert lines[0] == ("visit,g0,g1,g3,se_g0,se_g1,se_g3,"
                         "n_at_risk,loglik,iterations,converged")
-    assert len(lines) == 1 + len(fit.visits)
+    K = len(fit.n_at_risk)
+    assert len(lines) == 1 + K
+    with fit_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["visit"]) for r in rows] == list(range(1, K + 1))
+    for k, r in enumerate(rows):  # 17 significant digits read back exactly
+        for i, j in enumerate("013"):
+            assert float(r[f"g{j}"]) == fit.model[k, i]
+            assert float(r[f"se_g{j}"]) == fit.se[k, i]
+        path = fit.loglik_paths[k]
+        assert int(r["n_at_risk"]) == fit.n_at_risk[k]
+        assert float(r["loglik"]) == path[-1]
+        assert int(r["iterations"]) == len(path) - 1
+        assert r["converged"] == str(int(fit.converged[k]))

@@ -94,6 +94,19 @@ def test_shared_rule_is_read_only(cold_rules):
     pts[0] = 0.0  # the shifted nodes are the caller's own array
 
 
+def test_too_many_nodes_are_refused_before_any_rule(cold_rules, monkeypatch):
+    """numpy's rule has NaN weights from 372 nodes, and building one takes
+    nodes^2 memory, so such counts raise before any rule is built."""
+    def refused(nodes):
+        raise AssertionError(f"built a {nodes}-node rule")
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", refused)
+    for nodes in (186, 10**6):
+        with pytest.raises(QuadratureError, match=f"^non-finite value at "
+                           f"{nodes} or {2 * nodes} nodes$"):
+            null_stratum_effect(DEMO, nodes=nodes)
+
+
 @pytest.mark.parametrize("nodes", [2, 64, 128, 185])
 def test_cached_rule_is_bitwise_the_uncached_one(cold_rules, nodes):
     h, w = np.polynomial.hermite.hermgauss(nodes)
