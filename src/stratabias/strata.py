@@ -6,14 +6,14 @@ only computable in simulation ("oracle" access).  Three strata matter
 here: adherent under both arms, adherent under the experimental arm, and
 adherent under control.
 
-All stratum means are computed with exactly-rounded summation
-(math.fsum), so results are independent of record order and of how
-members are grouped - the grouped-mean (tower) identity and permutation
-invariance hold bit-for-bit, not just to rounding error.
+Stratum means and the sums of squares of their SEs use exactly-rounded
+summation (math.fsum), so results are independent of record order and
+of how members are grouped - the grouped-mean (tower) identity and
+permutation invariance hold bit-for-bit, and nothing is sorted.
 
-``oracle_effect`` reads only ``ids``, ``a`` and ``diff``: a whole
-``SubjectData`` and the ``MemberTable`` that ``stratum_members`` keeps
-from a stream of id blocks give bitwise the same estimate.
+``oracle_effect`` reads only ``a`` and ``diff``: a whole ``SubjectData``
+and the ``MemberTable`` that ``stratum_members`` keeps from a stream of
+id blocks give bitwise the same estimate.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .datagen import SubjectData, write_table
 
 
-# Elements per tolist() slice in exact_mean: 1 MB of Python floats.
+# Elements per slice in _fsum: 1 MB of Python floats at a time.
 _FSUM_CHUNK = 1 << 15
 
 
@@ -82,11 +82,9 @@ class BiasReport:
 
 @dataclass(frozen=True)
 class MemberTable:
-    """The stratum members of a dataset, in id order: their ids, their
-    adherence pair ``a`` (m, 2) and their contrast ``diff`` y(1) - y(0),
-    18 B per member."""
+    """The stratum members of a dataset: their adherence pair ``a``
+    (m, 2) and their contrast ``diff`` y(1) - y(0), 10 B per member."""
 
-    ids: np.ndarray
     a: np.ndarray
     diff: np.ndarray
 
@@ -97,12 +95,12 @@ def stratum_members(blocks: Iterable[SubjectData],
     of ``labels``; each block can be dropped once it has been read.  The
     columns are joined one at a time, each dropping its parts, so the
     table is never held twice."""
-    parts = ([], [], [])
+    parts = ([], [])
     for block in blocks:
         keep = np.zeros(len(block), dtype=bool)
         for label in labels:
             keep |= members(block, label)
-        for col, values in zip(parts, (block.ids, block.a, block.diff)):
+        for col, values in zip(parts, (block.a, block.diff)):
             col.append(values[keep])
         del block, keep  # free before the next block is generated
     columns = []
@@ -112,13 +110,16 @@ def stratum_members(blocks: Iterable[SubjectData],
     return MemberTable(*columns)
 
 
-def exact_mean(values: np.ndarray) -> float:
-    """Exactly-rounded mean: independent of summation order and grouping.
-    fsum reads the floats lazily, 2^15 at a time, so no Python float list
-    of the whole array is ever held."""
-    chunks = (values[i:i + _FSUM_CHUNK].tolist()
+def _fsum(values: np.ndarray, term=lambda v: v) -> float:
+    """Exactly-rounded sum of ``term(values)``, read lazily by slices."""
+    chunks = (term(values[i:i + _FSUM_CHUNK]).tolist()
               for i in range(0, len(values), _FSUM_CHUNK))
-    return math.fsum(itertools.chain.from_iterable(chunks)) / len(values)
+    return math.fsum(itertools.chain.from_iterable(chunks))
+
+
+def exact_mean(values: np.ndarray) -> float:
+    """Exactly-rounded mean: independent of summation order and grouping."""
+    return _fsum(values) / len(values)
 
 
 def members(data: SubjectData | MemberTable,
@@ -149,13 +150,11 @@ def oracle_effect(data: SubjectData | MemberTable,
     differences over sqrt of member count); both potential outcomes are
     known per subject, so no two-sample variance enters.
     """
-    mask, m = _nonempty(data, label)
-    d = data.diff[mask]
-    ids = data.ids
-    if not np.all(ids[1:] > ids[:-1]):  # id order: permutation-proof SE
-        d = d[np.argsort(ids[mask])]
+    d = data.diff[_nonempty(data, label)[0]]  # no mask held while summing
+    m = len(d)
     value = exact_mean(d)
-    se = float(np.std(d, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    ss = _fsum(d, lambda v: (v - value) ** 2)
+    se = math.sqrt(ss / (m - 1) / m) if m > 1 else 0.0
     return EffectEstimate(value=value, se=se, n_members=m)
 
 
@@ -178,7 +177,7 @@ def tower_check(data: SubjectData, label: StratumLabel = S_TREATED,
         raise ValueError(f"n_bins={n_bins} exceeds stratum size {m}")
 
     d = data.diff[mask]
-    lhs = exact_mean(d[np.argsort(data.ids[mask])])
+    lhs = exact_mean(d)
 
     order = np.lexsort((data.ids[mask], data.x[mask]))
     bins = np.array_split(order, n_bins)

@@ -59,6 +59,8 @@ def test_oracle_effect_simple_values():
                      diff=[1.0, 2.0, 100.0, 6.0])
     est = oracle_effect(data, S_TREATED)
     assert est.value == 3.0 and est.n_members == 3
+    # contrasts 1, 2, 6: squared deviations 4 + 1 + 9, over 2 and over 3
+    assert abs(est.se - math.sqrt(7 / 3)) <= 1e-15 * math.sqrt(7 / 3)
     single = oracle_effect(data, S_BOTH)
     assert single.value == 1.0 and single.se == 0.0
 
@@ -191,14 +193,14 @@ def _member_table(n):
     return strata.stratum_members(generate_blocks(cfg), (S_BOTH, S_TREATED))
 
 
-def test_oracle_effect_on_a_member_table_skips_the_id_sort():
-    """A MemberTable is in id order, so oracle_effect holds only the
-    selected contrasts, np.std's deviations and byte masks: about
-    2.1 contrast copies, against 3.1 when the ids are masked, argsorted
-    and the contrasts reordered.  The traced peak is numpy's buffers."""
+def test_oracle_effect_holds_one_contrast_copy():
+    """oracle_effect holds one copy of the selected contrasts while it
+    sums, and reads their squared deviations 2^15 at a time, so no
+    second member-length float array is held.  The traced peak is that
+    copy, one slice's Python floats and numpy's other buffers."""
     table = _member_table(1 << 20)
-    m = len(table.ids)
-    assert m > 300_000  # the deviations, not fsum's 1 MB slices, peak
+    m = len(table.diff)
+    assert m > 300_000  # the contrast copy, not fsum's 1 MB slices, peaks
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -207,25 +209,39 @@ def test_oracle_effect_on_a_member_table_skips_the_id_sort():
     finally:
         tracemalloc.stop()
     assert est.n_members == m  # S_BOTH lies inside S_*+
-    assert peak < 2.5 * table.diff.nbytes
+    assert peak < 1.5 * table.diff.nbytes
 
 
-def test_oracle_effect_reduces_permuted_records_in_id_order():
-    """Contrasts whose np.std depends on their order: a permuted dataset
-    or member table must still be reduced in id order for the same SE
-    bits, while an id-ordered one skips the sort."""
-    rng = np.random.default_rng(0)
-    diff = np.concatenate([[1e9, -1e9], rng.uniform(-3, 3, 998)])
-    data = tiny_data(a0=np.ones(1000), a1=np.ones(1000), diff=diff)
-    perm = np.random.default_rng(0).permutation(1000)
-    assert np.std(diff[perm], ddof=1) != np.std(diff, ddof=1)
+_N_ORDER = 1000
+_ORDER_DIFF = np.concatenate(
+    [[1e9, -1e9], np.random.default_rng(0).uniform(-3, 3, _N_ORDER - 2)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       block=st.integers(min_value=1, max_value=_N_ORDER))
+def test_oracle_effect_is_order_free_over_permuted_blocks(seed, block):
+    """Contrasts whose np.std depends on their order: any permutation of
+    the records, fed to stratum_members in blocks of any size, gives the
+    id-ordered estimate bit for bit."""
+    diff = _ORDER_DIFF
+    fixed = np.random.default_rng(0).permutation(_N_ORDER)
+    assert np.std(diff[fixed], ddof=1) != np.std(diff, ddof=1)
+    data = tiny_data(a0=np.arange(_N_ORDER) % 2, a1=np.ones(_N_ORDER),
+                     diff=diff)  # S_*+ is everyone, S_++ every other id
+    perm = np.random.default_rng(seed).permutation(_N_ORDER)
     shuffled = SubjectData(ids=data.ids[perm], x=data.x[perm],
                            t=data.t[perm], z=data.z[perm], y=data.y[perm],
                            a_seq=data.a_seq[perm])
-    table = strata.MemberTable(data.ids[perm], data.a[perm], diff[perm])
-    want = _bits(oracle_effect(data, S_TREATED))
-    assert _bits(oracle_effect(shuffled, S_TREATED)) == want
-    assert _bits(oracle_effect(table, S_TREATED)) == want
+    blocks = (SubjectData(*(col[i:i + block] for col in (
+        shuffled.ids, shuffled.x, shuffled.t, shuffled.z, shuffled.y,
+        shuffled.a_seq))) for i in range(0, _N_ORDER, block))
+    table = strata.stratum_members(blocks, (S_BOTH, S_TREATED))
+    assert len(table.diff) == _N_ORDER
+    for label in (S_BOTH, S_TREATED):
+        want = _bits(oracle_effect(data, label))
+        assert _bits(oracle_effect(shuffled, label)) == want
+        assert _bits(oracle_effect(table, label)) == want
 
 
 def test_streamed_oracle_peaks_below_half_the_whole_table():

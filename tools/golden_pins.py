@@ -15,8 +15,9 @@ mean contrast.  It prints each run's z-score against its pin,
 and exits 1 when any |z| exceeds 3.5, the suite's Monte Carlo
 agreement threshold.  The pins are read from the test module, never
 restated or edited here.  It is not part of the test suite: on a
-2-vCPU Xeon each run takes about 8 s, all six about 51 s, with a peak
-RSS near 380 MB (the partial null has 8.4 million members).
+2-vCPU Xeon each run takes 6-7 s, all six about 40 s, with a peak RSS
+near 250 MB (the partial null has 8.4 million members, 10 B each in
+the member table).
 
 Seeds 1, 2 and 3 gave |z| <= 1.75 on both pins.
 """
