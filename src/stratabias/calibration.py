@@ -7,10 +7,10 @@ data only (one arm per subject):
   not target the stratum effect; it is the baseline comparator whose
   expectation stays 0 under a full null.
 * ``estimate_plugin`` - term1 - term2: the arm-1 adherer mean minus the
-  outcome line fitted on arm 0, averaged over all subjects with weight
-  pi(x), adherence under the visit model fitted on arm 1 with the
-  intermediates marginalized by Gauss-Hermite quadrature.  Its SE is an
-  influence-function sandwich: both are deterministic in the data.
+  outcome line fitted on arm 0 at xbar_pi, the mean of x over all
+  subjects with weight pi(x), adherence under the visit model fitted on
+  arm 1 with the intermediates marginalized by Gauss-Hermite quadrature.
+  Its SE is an influence-function sandwich: both are deterministic.
 
 ``split_calibrate`` implements the null-calibration idea: repeatedly
 split the control arm at random into two pseudo-arms, run an estimator
@@ -271,10 +271,10 @@ def _outcome_rows(observed: ObservedData) -> np.ndarray:
 
 
 def _plugin_fit(observed: ObservedData, start: LogisticFit | None = None):
-    """One fitting pass of the plug-in: (term1, term2, pi, m, params),
-    pi the subjects' marginal adherence weights, m their arm-0 outcome
-    line a0 + b0*x, least squares on ``_outcome_rows``, and params the
-    arm-1 visit model of ``_marginal_pi``; ``start`` warm-starts it."""
+    """One fitting pass of the plug-in: (term1, a0, b0, xbar, pi, params).
+    term2 is the arm-0 line a0 + b0*x (``_outcome_rows``) at xbar, the
+    mean x under the marginal adherence weights pi of ``_marginal_pi``'s
+    arm-1 visit model params; ``start`` warm-starts that fit."""
     term1 = exact_mean(observed.y[_adherers(observed, 1)])
 
     x, y = observed.x, observed.y
@@ -286,15 +286,14 @@ def _plugin_fit(observed: ObservedData, start: LogisticFit | None = None):
     total = float(pi.sum())
     if total <= 0.0:
         raise EstimatorError("estimated adherence probabilities sum to zero")
-    m = a0 + b0 * x  # after the fits, so they run without it
-    return term1, float((pi * m).sum()) / total, pi, m, params
+    return term1, a0, b0, float((pi * x).sum()) / total, pi, params
 
 
 def _plugin_point(observed: ObservedData,
                   start: LogisticFit | None = None) -> float:
     """The plug-in point value; ``start`` warm-starts the arm-1 fit."""
-    term1, term2, *_ = _plugin_fit(observed, start)
-    return term1 - term2
+    term1, a0, b0, xbar, *_ = _plugin_fit(observed, start)
+    return term1 - (a0 + b0 * xbar)
 
 
 def estimate_naive(observed: ObservedData) -> EffectEstimate:
@@ -318,24 +317,24 @@ def estimate_naive(observed: ObservedData) -> EffectEstimate:
 def estimate_plugin(observed: ObservedData) -> EffectEstimate:
     """Plug-in estimate of the treated-adherent stratum effect.
 
-    term1 is the arm-1 adherer mean.  term2 averages the fitted arm-0
-    outcome line over ALL subjects, weighted by each subject's marginal
-    adherence probability under arm 1 (by quadrature, see
+    term1 is the arm-1 adherer mean.  term2 is the fitted arm-0 outcome
+    line a0 + b0*x at xbar, the mean x of ALL subjects weighted by each
+    one's marginal adherence probability under arm 1 (by quadrature, see
     ``_marginal_pi``) - the observed-data counterpart of conditioning
     the control response on adherence under the other arm.  The SE is
-    sqrt(sum psi_i^2)/n, psi_i subject i's influence: term1's and term2's
+    sqrt(sum psi_i^2)/n, psi_i subject i's influence: term1's and xbar's
     ratio terms, and each fit's influence times term2's gradient in it.
     """
-    term1, t2, pi, m, params = _plugin_fit(observed)
+    term1, a0, b0, xbar, pi, params = _plugin_fit(observed)
     x, y = observed.x, observed.y
     rows1, rows0 = _adherers(observed, 1), _outcome_rows(observed)
     infl = np.where(rows1, y - term1, 0.0) / rows1.sum()  # psi/n
 
-    def term2(j: int, h: float) -> float:  # term2 at params[j] + h
+    def xbar_at(j: int, h: float) -> float:  # xbar at params[j] + h
         p = params.copy()
         p.flat[j] += h
         pi_h = _marginal_pi(x, p)
-        return float((pi_h * m).sum()) / float(pi_h.sum())
+        return float((pi_h * x).sum()) / float(pi_h.sum())
 
     def fitted(rows, cols, res, w, grad) -> None:
         """infl -= grad . info^-1 x score, for the fit sum(col * res) = 0."""
@@ -343,13 +342,13 @@ def estimate_plugin(observed: ObservedData) -> EffectEstimate:
         c = np.linalg.solve(info, grad)
         infl[rows] -= res * sum(ci * u for ci, u in zip(c, cols))
 
-    infl -= pi * (m - t2) / float(pi.sum())
-    # d term2 / d(intercept, slope) = (1, pi-weighted mean of x)
-    fitted(rows0, (np.ones(rows0.size), x[rows0]), y[rows0] - m[rows0], 1.0,
-           (1.0, float((pi * x).sum()) / float(pi.sum())))
+    infl -= b0 * pi * (x - xbar) / float(pi.sum())
+    # d term2 / d(a0, b0) = (1, xbar); d term2 / d params = b0 d xbar
+    fitted(rows0, (np.ones(rows0.size), x[rows0]),
+           y[rows0] - (a0 + b0 * x[rows0]), 1.0, (1.0, xbar))
     steps = 1e-5 * np.maximum(1.0, np.abs(params.ravel()))  # central diffs
-    grad = np.reshape([(term2(j, h) - term2(j, -h)) / (2.0 * h)
-                       for j, h in enumerate(steps)], params.shape)
+    grad = b0 * np.reshape([(xbar_at(j, h) - xbar_at(j, -h)) / (2.0 * h)
+                            for j, h in enumerate(steps)], params.shape)
     arm1 = np.flatnonzero(observed.t == 1)
     for (_, at_risk, xk, zk, resp), p, g in zip(_visits(observed), params,
                                                 grad):
@@ -359,7 +358,8 @@ def estimate_plugin(observed: ObservedData) -> EffectEstimate:
         e = zk - (p[3] + p[4] * xk)  # the z line: OLS, then its SD
         fitted(rows, cols[:2], e, 1.0, g[3:5])
         infl[rows] -= g[5] * (e * e - p[5] ** 2) / (2 * p[5] * (rows.size - 2))
-    return EffectEstimate(value=term1 - t2, se=math.sqrt((infl * infl).sum()),
+    return EffectEstimate(value=term1 - (a0 + b0 * xbar),
+                          se=math.sqrt((infl * infl).sum()),
                           n_members=len(observed))
 
 

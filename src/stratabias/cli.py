@@ -27,8 +27,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .calibration import (CalibrationError, EstimatorError, FitError,
-                          fit_sequential_logistic, split_calibrate,
+from .calibration import (ESTIMATORS, CalibrationError, EstimatorError,
+                          FitError, fit_sequential_logistic, split_calibrate,
                           write_calibration_csv, write_fit_csv)
 from .datagen import (generate, generate_blocks, observe, write_observed_csv,
                       write_subjects_csv)
@@ -267,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="random-split null calibration on the "
                             "control arm")
     p.add_argument("scenario")
-    p.add_argument("--estimator", choices=("naive", "plugin"),
+    p.add_argument("--estimator", choices=sorted(ESTIMATORS),
                    default="plugin")
     p.add_argument("--R", type=int, default=200,
                    help="number of random splits")

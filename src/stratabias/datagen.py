@@ -202,13 +202,13 @@ def observe(data: SubjectData, keep_y_after_dropout: bool = False) -> ObservedDa
     arm = data.t.astype(np.int64)
     rows = np.arange(n)
 
-    z_obs = data.z[rows, arm, :].copy()
+    z_obs = data.z[rows, arm, :]  # a gather: already a new array
     a_seq_assigned = data.a_seq[rows, arm, :]
     for k in range(1, K):
         z_obs[a_seq_assigned[:, k - 1] == 0, k] = np.nan
 
     a_obs = data.a[rows, arm]
-    y_obs = data.y[rows, arm].copy()
+    y_obs = data.y[rows, arm]
     if not keep_y_after_dropout:
         y_obs[a_obs == 0] = np.nan
     return ObservedData(data.ids.copy(), data.x.copy(), data.t.copy(),

@@ -164,11 +164,11 @@ def tower_check(data: SubjectData, label: StratumLabel = S_TREATED,
 
     lhs is the stratum mean of y(1) - y(0).  rhs regroups the members
     into ``n_bins`` equal-frequency bins on the baseline covariate (ties
-    broken by id) and takes the membership-weighted average of within-bin
-    means.  The weighted average of bin means is, in exact arithmetic,
-    the mean over the concatenated partition, and both sides are reduced
-    with exactly-rounded summation, so lhs == rhs bit-for-bit whenever
-    the bins partition the members.
+    broken by id) and takes the mean over the concatenated bins, in exact
+    arithmetic the membership-weighted average of within-bin means.  Both
+    sides are exactly-rounded sums, so lhs == rhs bit-for-bit whenever the
+    bins partition the members; as (x, id) order is not record order, a
+    mean that depended on summation order would break the identity.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")

@@ -243,14 +243,14 @@ def test_irls_from_a_start_reaches_the_same_maximum():
 
 
 def test_outcome_baseline_satisfies_normal_equations():
-    """The plug-in's arm-0 line m is least squares on the arm-0 rows with
-    an observed outcome."""
+    """The plug-in's arm-0 line a0 + b0*x is least squares on the arm-0
+    rows with an observed outcome."""
     obs = trial(20_000, seed=36)
-    m = calibration._plugin_fit(obs)[3]
+    _, a0, b0, *_ = calibration._plugin_fit(obs)
     rows = (obs.t == 0) & ~np.isnan(obs.y)
     assert calibration._outcome_rows(obs).tolist() \
         == np.flatnonzero(rows).tolist()
-    resid = obs.y[rows] - m[rows]
+    resid = obs.y[rows] - (a0 + b0 * obs.x[rows])
     scale = np.abs(obs.y[rows]).sum()
     assert abs(resid.sum()) <= 1e-10 * scale
     assert abs(resid @ obs.x[rows]) <= 1e-10 * scale * \
@@ -302,7 +302,7 @@ def test_fit_model_is_the_plugin_params_and_read_only():
     arrays, shared by the split rounds, cannot be written."""
     obs = trial(20_000, seed=55)
     fit = fit_sequential_logistic(obs)
-    params = calibration._plugin_fit(obs)[4]
+    params = calibration._plugin_fit(obs)[5]
     assert params.shape == fit.model.shape == (obs.K, 6)
     assert params.tobytes() == fit.model.tobytes()
     for arr in (fit.model, fit.se):
@@ -363,8 +363,8 @@ def test_plugin_with_flat_weights_is_unweighted_difference():
     obs = trial(40_000, seed=41, gamma1=0.0, gamma3=[0.0, 0.0, 0.0])
     est = estimate_plugin(obs)
     rows1 = (obs.t == 1) & (obs.a == 1)
-    m = calibration._plugin_fit(obs)[3]
-    flat = exact_mean(obs.y[rows1]) - m.mean()
+    _, a0, b0, *_ = calibration._plugin_fit(obs)
+    flat = exact_mean(obs.y[rows1]) - (a0 + b0 * obs.x.mean())
     assert abs(est.value - flat) <= 0.01
 
 

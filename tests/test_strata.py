@@ -244,6 +244,25 @@ def test_oracle_effect_is_order_free_over_permuted_blocks(seed, block):
         assert _bits(oracle_effect(table, label)) == want
 
 
+def test_tower_check_catches_an_order_dependent_mean(monkeypatch):
+    """tower_check's rhs reads the members in (x, id) order, a real
+    permutation of them: with exact_mean lhs == rhs, and a pairwise
+    np.sum mean, which depends on order, breaks the identity."""
+    x = np.random.default_rng(0).permutation(_N_ORDER)
+    assert np.any(np.argsort(x) != np.arange(_N_ORDER))
+    data = tiny_data(a0=np.arange(_N_ORDER) % 3 != 2, a1=np.ones(_N_ORDER),
+                     diff=_ORDER_DIFF, x=x)  # ids 0 and 1 in both strata
+    labels = (S_TREATED, S_BOTH)
+    for label in labels:
+        lhs, rhs = tower_check(data, label)
+        assert lhs == rhs
+    monkeypatch.setattr(strata, "exact_mean",
+                        lambda v: float(np.sum(v)) / len(v))
+    for label in labels:
+        lhs, rhs = tower_check(data, label)
+        assert lhs != rhs
+
+
 def test_streamed_oracle_peaks_below_half_the_whole_table():
     """numpy reports its buffers to tracemalloc, so the traced peak is
     the memory each path holds at once, free of RSS noise."""

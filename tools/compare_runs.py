@@ -22,8 +22,11 @@ directory.  Per invocation it compares:
 The list covers every bundled scenario through ``simulate`` and through
 ``true-effect`` with each ``--method``, ``true-effect --method
 quadrature`` off the outcome null (``beta2 = 0.3``), ``calibrate`` with
-both estimators, ``calibrate sigma_eta_zero`` with the naive estimator
-(which fits no visit model), three runs that fail after their scenario
+both estimators, ``calibrate full_null_demo --seed 5`` (the plug-in at
+the default R, whose offset misses the truth by more than 5 SE: its
+``MISMATCH`` line shows whether that gap moved), ``calibrate
+sigma_eta_zero`` with the naive estimator (which fits no visit model),
+three runs that fail after their scenario
 loads, one that ``calibrate`` rejects as a usage error (``--no-keep-y``:
 it always keeps outcomes), and ``paper-demo`` with and without
 ``--seed``.  Outputs are deleted once compared.  It takes a few minutes
@@ -65,6 +68,8 @@ def invocations(scenarios: list[str], work: Path) -> list[tuple[str, list]]:
                               "--estimator", "plugin", "--threads", "2"]),
         ("calibrate naive", ["calibrate", "{full_null_demo}",
                              "--estimator", "naive", "--threads", "2"]),
+        ("calibrate full_null_demo --seed 5",
+         ["calibrate", "{full_null_demo}", "--seed", "5", "--threads", "2"]),
         ("fails: calibrate --no-keep-y",
          ["calibrate", "{full_null_demo}", "--estimator", "plugin",
           "--no-keep-y", "--threads", "2"]),
