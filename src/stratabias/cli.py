@@ -30,7 +30,7 @@ from . import __version__
 from .calibration import (ESTIMATORS, CalibrationError, EstimatorError,
                           FitError, fit_sequential_logistic, split_calibrate,
                           write_calibration_csv, write_fit_csv)
-from .datagen import (generate, generate_blocks, observe, write_observed_csv,
+from .datagen import (generate, observe, write_observed_csv,
                       write_subjects_csv)
 from .params import (ScenarioConfig, is_outcome_null, load_bundled,
                      load_scenario)
@@ -60,17 +60,18 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _oracles(cfg: ScenarioConfig, method: str = "both", **quad_options):
+def _oracles(cfg: ScenarioConfig, method: str = "both", threads: int = 1,
+             **quad_options):
     """(quad, both, treated, agreement): the closed form, the S_++ and S_*+
     Monte Carlo effects and their ``_gap_check``, None where ``method``
     skips one.  The closed form runs before any subject is drawn, and
-    ``quadrature`` draws none; the subjects are streamed in id blocks,
-    and only the members of the two strata are kept."""
+    ``quadrature`` draws none; the subjects are streamed in id blocks on
+    ``threads`` threads, keeping only the two strata's members."""
     quad = (null_stratum_effect(cfg.params, **quad_options)
             if method != "mc" else None)
     if method == "quadrature":
         return quad, None, None, None
-    table = stratum_members(generate_blocks(cfg), (S_BOTH, S_TREATED))
+    table = stratum_members(cfg, (S_BOTH, S_TREATED), threads)
     both = oracle_effect(table, S_BOTH)
     treated = oracle_effect(table, S_TREATED)
     if quad is None:
@@ -106,7 +107,8 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Run:
 
 
 def cmd_true_effect(args, cfg: ScenarioConfig) -> Run:
-    quad, both, mc, agreement = _oracles(cfg, args.method, nodes=args.nodes)
+    quad, both, mc, agreement = _oracles(cfg, args.method, args.threads,
+                                         nodes=args.nodes)
     print(f"scenario '{cfg.label}': n={cfg.n}, seed={cfg.seed}")
     rows = []
     for stratum, est in ((S_BOTH, both), (S_TREATED, mc)):
@@ -166,7 +168,7 @@ def _demo_claims(seed_override, threads):
     # 1-2: under a full null the treated-adherent stratum effect is
     # nonzero while the always-adherent stratum effect is zero.
     cfg = load("full_null_demo")
-    quad, both, treated, (_, bound, agree) = _oracles(cfg)
+    quad, both, treated, (_, bound, agree) = _oracles(cfg, threads=threads)
     effect_rows = [(cfg.label, S_TREATED.code, treated),
                    (cfg.label, S_BOTH.code, both)]
     claims += [
@@ -180,7 +182,7 @@ def _demo_claims(seed_override, threads):
     for name, what in (("zero_beta3", "outcome loading beta3 = 0"),
                        ("zero_gamma3", "adherence loading gamma3 = 0")):
         cfg = load(name)
-        quad, _, est, _ = _oracles(cfg)
+        quad, _, est, _ = _oracles(cfg, threads=threads)
         effect_rows.append((cfg.label, S_TREATED.code, est))
         claims.append((
             f"stratum effect vanishes when {what}",
@@ -227,10 +229,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".",
                         help="output directory (created if missing)")
     threaded = argparse.ArgumentParser(add_help=False)
-    threaded.add_argument("--threads", type=int,
-                          default=os.cpu_count() or 1,
-                          help="worker cap for the calibration splits "
-                               "(results do not depend on it)")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # the CPUs this process may run on
+    threaded.add_argument("--threads", type=int, default=cpus,
+                          help="worker threads (default: the usable CPUs; "
+                               "results do not depend on it)")
 
     parser = argparse.ArgumentParser(
         prog="stratabias",
@@ -250,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: censored at dropout)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("true-effect", parents=[common],
+    p = sub.add_parser("true-effect", parents=[common, threaded],
                        help="stratum effects by Monte Carlo and/or "
                             "quadrature")
     p.add_argument("scenario")

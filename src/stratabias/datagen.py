@@ -30,20 +30,25 @@ the same seed can only turn non-adherers into adherers, never the
 reverse.  The fixed layout makes each record a pure function of
 (seed, id) - chunking and parallelism cannot change the data.
 
-The noise draws eta and eps are consumed chunk by chunk but not kept:
-``SubjectData`` stores only what the oracles, estimators and writers
-read (x, t, z, y and the adherence path), 87 B per subject at K = 3.
+Each chunk's draws are made in four stages (x and T, eta, eps and the
+adherence uniforms), each freed before the next, and the noises are not
+kept: ``SubjectData`` stores only what the oracles, estimators and
+writers read (x, t, z, y and the adherence path), 87 B per subject at
+K = 3.
 
-``generate_blocks`` yields the same subjects in id blocks of ``_CHUNK``.
-The Monte Carlo oracle streams them and keeps only each stratum
-member's id, adherence pair and contrast, so its memory grows with the
-members, not with n, and its values do not depend on the block size.
+``generate_blocks`` maps a function over the id blocks of ``_CHUNK`` on
+up to ``threads`` threads, one block in flight per thread.  The Monte
+Carlo oracle keeps only each block's stratum members, so its memory
+grows with the members and threads, not with n, and its values depend
+on neither the block size nor the thread count.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterator
+import threading
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -125,10 +130,6 @@ class ObservedData:
                             self.z, self.a, self.y)
 
 
-def draws_per_subject(K: int) -> int:
-    return 4 + 4 * K
-
-
 def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectData:
     """Generate the given subject ids; any id partition yields identical rows."""
     K = params.K
@@ -146,29 +147,43 @@ def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectDa
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        u = uniform_matrix(seed, ids[lo:hi], draws_per_subject(K))
-        x, t = out_x[lo:hi], out_t[lo:hi]
+        x, t, block = out_x[lo:hi], out_t[lo:hi], ids[lo:hi]
         z, y, a_seq = out_z[lo:hi], out_y[lo:hi], out_aseq[lo:hi]
 
+        # each stage draws only its own uniforms and frees them before
+        # the next; the normals overwrite their uniforms
+        u = uniform_matrix(seed, block, 2)
         x[:] = params.mu_x + params.sigma_x * ndtri(u[:, 0])
         t[:] = u[:, 1] < params.p_treat
-
+        del u
+        eta = uniform_matrix(seed, block, 2 * K, 2)
+        ndtri(eta, out=eta)
+        eta *= params.sigma_eta
         for arm in (0, 1):
             for k in range(K):
-                eta = params.sigma_eta * ndtri(u[:, 2 + arm * K + k])
-                z[:, arm, k] = alpha0[k] + alpha1[k] * x + alpha2[k] * arm + eta
+                z[:, arm, k] = (alpha0[k] + alpha1[k] * x + alpha2[k] * arm
+                                + eta[:, arm * K + k])
+        del eta
+        eps = uniform_matrix(seed, block, 2, 2 + 2 * K)
+        ndtri(eps, out=eps)
+        eps *= params.sigma_eps
+        for arm in (0, 1):
             acc = beta3[0] * z[:, arm, 0]
             for k in range(1, K):
                 acc = acc + beta3[k] * z[:, arm, k]
-            eps = params.sigma_eps * ndtri(u[:, 2 + 2 * K + arm])
-            y[:, arm] = params.beta0 + params.beta1 * x + params.beta2 * arm + acc + eps
+            y[:, arm] = (params.beta0 + params.beta1 * x + params.beta2 * arm
+                         + acc + eps[:, arm])
+        del eps
+        u = uniform_matrix(seed, block, 2 * K, 4 + 2 * K)
+        for arm in (0, 1):
             alive = np.ones(hi - lo, dtype=bool)
             for k in range(K):
                 p = expit(params.gamma0 + params.gamma2 * arm
                           + params.gamma1 * x + params.gamma3[k] * z[:, arm, k])
-                adhere = (u[:, 4 + 2 * K + arm * K + k] < p) & alive
+                adhere = (u[:, arm * K + k] < p) & alive
                 a_seq[:, arm, k] = adhere
                 alive = adhere
+        del u
 
     return SubjectData(ids.astype(np.int64), out_x, out_t, out_z, out_y,
                        out_aseq)
@@ -180,12 +195,44 @@ def generate(config: ScenarioConfig) -> SubjectData:
     return generate_block(config.params, config.seed, ids)
 
 
-def generate_blocks(config: ScenarioConfig) -> Iterator[SubjectData]:
-    """The scenario's subjects in consecutive id blocks of ``_CHUNK``;
-    concatenated in order, the blocks are ``generate(config)``."""
-    for lo in range(0, config.n, _CHUNK):
-        ids = np.arange(lo, min(lo + _CHUNK, config.n), dtype=np.int64)
-        yield generate_block(config.params, config.seed, ids)
+def generate_blocks(config: ScenarioConfig,
+                    reduce: Callable[[SubjectData], object],
+                    threads: int = 1) -> list:
+    """``reduce`` of each of the scenario's id blocks of ``_CHUNK``, in id
+    order.  The calling thread and up to ``threads - 1`` pool workers, no
+    more than there are blocks, pull blocks from one shared list; each
+    block is reduced and dropped where it was made, so at most ``threads``
+    are in flight.  After an error the other threads stop pulling."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    params, seed, n = config.params, config.seed, config.n
+    starts = range(0, n, _CHUNK)
+    todo, out, lock = list(reversed(starts)), {}, threading.Lock()
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    if not todo:
+                        return
+                    lo = todo.pop()
+                ids = np.arange(lo, min(lo + _CHUNK, n), dtype=np.int64)
+                out[lo] = reduce(generate_block(params, seed, ids))
+        except BaseException:
+            with lock:
+                todo.clear()
+            raise
+
+    workers = min(threads, len(starts)) - 1
+    if workers < 1:
+        work()
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            helpers = [pool.submit(work) for _ in range(workers)]
+            work()
+            for helper in helpers:
+                helper.result()
+    return [out[lo] for lo in starts]
 
 
 def observe(data: SubjectData, keep_y_after_dropout: bool = False) -> ObservedData:

@@ -40,24 +40,31 @@ def _rounds(c0, c1, c2, c3, k0: int, k1: int):
     """The Philox rounds on 32-bit words held as uint64 arrays or scalars.
 
     The round keys are bumped in exact integer arithmetic (mod 2^32).
-    The caller's arrays are never written: every in-place XOR lands in
-    an array this loop has just made.  A scalar word stays a scalar
-    until it meets an array, so constant counter words cost no array
-    operations in the first rounds.
+    The caller's arrays are never written: the first round's products
+    are new arrays, and every later in-place product, XOR and mask lands
+    in a word this loop made.  A scalar word stays a scalar until it
+    meets an array, so constant counter words cost no array operations
+    in the first rounds.
     """
     for r in range(_ROUNDS):
         rk0 = np.uint64((k0 + r * _W0) & 0xFFFFFFFF)
         rk1 = np.uint64((k1 + r * _W1) & 0xFFFFFFFF)
-        p0 = c0 * _M0
-        p1 = c2 * _M1
+        if r:  # words this loop made: multiply in place
+            c0 *= _M0
+            c2 *= _M1
+            p0, p1 = c0, c2
+        else:
+            p0, p1 = c0 * _M0, c2 * _M1
         c0 = p1 >> _S32
         c0 ^= c1
         c0 ^= rk0
-        c1 = p1 & _LO32
+        c1 = p1
+        c1 &= _LO32
         c2 = p0 >> _S32
         c2 ^= c3
         c2 ^= rk1
-        c3 = p0 & _LO32
+        c3 = p0
+        c3 &= _LO32
     return c0, c1, c2, c3
 
 
@@ -84,7 +91,8 @@ def _store_unit(a: np.ndarray, b: np.ndarray, row: np.ndarray) -> None:
     row *= _INV53
 
 
-def uniform_matrix(seed: int, ids: np.ndarray, n_draws: int) -> np.ndarray:
+def uniform_matrix(seed: int, ids: np.ndarray, n_draws: int,
+                   offset: int = 0) -> np.ndarray:
     """Uniform draws for a batch of subjects, addressed by (seed, id, draw).
 
     Parameters
@@ -95,26 +103,34 @@ def uniform_matrix(seed: int, ids: np.ndarray, n_draws: int) -> np.ndarray:
         Subject identifiers; any values in [0, 2^64), any order.
     n_draws : int
         Number of draws per subject.
+    offset : int
+        Index (>= 0) of the first draw: column d of the result is draw
+        ``offset + d``, so a caller can draw a subject's layout in stages.
 
     Returns
     -------
     (len(ids), n_draws) float64 array with entries in the open interval
-    (0, 1).  Entry [i, d] depends only on (seed, ids[i], d).  The array is
-    the transposed view of a draw-major (n_draws, len(ids)) buffer: each
-    column ``[:, d]`` is contiguous, and the result is not C-contiguous,
-    so callers that need row-major memory must copy.
+    (0, 1).  Entry [i, d] depends only on (seed, ids[i], offset + d).  The
+    array is the transposed view of a draw-major (n_draws, len(ids))
+    buffer: each column ``[:, d]`` is contiguous, and the result is not
+    C-contiguous, so callers that need row-major memory must copy.
     """
     ids = np.asarray(ids).astype(np.uint64)
     seed = int(seed)
     k0, k1 = seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF
-    id_lo = ids & _LO32
     id_hi = ids >> _S32
+    if not id_hi.any():  # a scalar word saves 16 array ops in rounds 1-3
+        id_hi = np.uint64(0)
+    ids &= _LO32  # the low words, in this function's own copy
 
+    stop = offset + n_draws
     out = np.empty((n_draws, ids.shape[0]))
-    for j in range((n_draws + 1) // 2):
-        w0, w1, w2, w3 = _rounds(np.uint64(j), id_lo, id_hi, np.uint64(0),
+    for j in range(offset // 2, (stop + 1) // 2):
+        w0, w1, w2, w3 = _rounds(np.uint64(j), ids, id_hi, np.uint64(0),
                                  k0, k1)
-        _store_unit(w0, w1, out[2 * j])
-        if 2 * j + 1 < n_draws:
-            _store_unit(w2, w3, out[2 * j + 1])
+        if 2 * j >= offset:
+            _store_unit(w0, w1, out[2 * j - offset])
+        if 2 * j + 1 < stop:
+            _store_unit(w2, w3, out[2 * j + 1 - offset])
+        del w0, w1, w2, w3  # free them before the next counter's rounds
     return out.T

@@ -12,22 +12,23 @@ of how members are grouped - the grouped-mean (tower) identity and
 permutation invariance hold bit-for-bit, and nothing is sorted.
 
 ``oracle_effect`` reads only ``a`` and ``diff``: a whole ``SubjectData``
-and the ``MemberTable`` that ``stratum_members`` keeps from a stream of
-id blocks give bitwise the same estimate.
+and the ``MemberTable`` whose per-block parts ``stratum_members`` keeps
+from the id blocks, on any number of threads, give bitwise the same
+estimate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .datagen import SubjectData, write_table
+from .datagen import SubjectData, generate_blocks, write_table
+from .params import ScenarioConfig
 
 
 # Elements per slice in _fsum: 1 MB of Python floats at a time.
@@ -82,57 +83,58 @@ class BiasReport:
 
 @dataclass(frozen=True)
 class MemberTable:
-    """The stratum members of a dataset: their adherence pair ``a``
-    (m, 2) and their contrast ``diff`` y(1) - y(0), 10 B per member."""
+    """The stratum members of a dataset, 10 B each, as one part per id
+    block in id order: the part's adherence pairs ``a`` (m, 2) and
+    contrasts ``diff`` y(1) - y(0).  The parts are never joined, which
+    would allocate the whole table a second time."""
 
-    a: np.ndarray
-    diff: np.ndarray
-
-
-def stratum_members(blocks: Iterable[SubjectData],
-                    labels: tuple[StratumLabel, ...]) -> MemberTable:
-    """One pass over id-ordered blocks, keeping only the subjects in any
-    of ``labels``; each block can be dropped once it has been read.  The
-    columns are joined one at a time, each dropping its parts, so the
-    table is never held twice."""
-    parts = ([], [])
-    for block in blocks:
-        keep = np.zeros(len(block), dtype=bool)
-        for label in labels:
-            keep |= members(block, label)
-        for col, values in zip(parts, (block.a, block.diff)):
-            col.append(values[keep])
-        del block, keep  # free before the next block is generated
-    columns = []
-    for col in parts:
-        columns.append(np.concatenate(col))
-        col.clear()
-    return MemberTable(*columns)
+    parts: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def _fsum(values: np.ndarray, term=lambda v: v) -> float:
-    """Exactly-rounded sum of ``term(values)``, read lazily by slices."""
-    chunks = (term(values[i:i + _FSUM_CHUNK]).tolist()
-              for i in range(0, len(values), _FSUM_CHUNK))
+def block_members(block: SubjectData, labels: tuple[StratumLabel, ...]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """A block's part of the member table: (a, diff) of its subjects in
+    any of ``labels``."""
+    keep = np.zeros(len(block), dtype=bool)
+    for label in labels:
+        keep |= members(block, label)
+    return block.a[keep], block.diff[keep]
+
+
+def stratum_members(config: ScenarioConfig, labels: tuple[StratumLabel, ...],
+                    threads: int = 1) -> MemberTable:
+    """One pass over the scenario's id blocks on ``threads`` threads
+    (``generate_blocks``), keeping only the subjects in any of
+    ``labels``; each block is dropped once its part is taken."""
+    return MemberTable(tuple(generate_blocks(
+        config, lambda block: block_members(block, labels), threads)))
+
+
+def _fsum(arrays, term=lambda v: v) -> float:
+    """Exactly-rounded sum of ``term`` over the arrays, read lazily by
+    slices."""
+    chunks = (term(v[i:i + _FSUM_CHUNK]).tolist()
+              for v in arrays for i in range(0, len(v), _FSUM_CHUNK))
     return math.fsum(itertools.chain.from_iterable(chunks))
 
 
 def exact_mean(values: np.ndarray) -> float:
     """Exactly-rounded mean: independent of summation order and grouping."""
-    return _fsum(values) / len(values)
+    return _fsum((values,)) / len(values)
 
 
-def members(data: SubjectData | MemberTable,
+def members(data: SubjectData | np.ndarray,
             label: StratumLabel) -> np.ndarray:
-    """Boolean membership mask over a dataset or a member table."""
-    ok = np.ones(len(data.a), dtype=bool)
+    """Boolean membership mask over a dataset or its adherence pairs."""
+    a = data.a if isinstance(data, SubjectData) else data
+    ok = np.ones(len(a), dtype=bool)
     for arm, req in enumerate((label.req0, label.req1)):
         if req is not None:
-            ok &= data.a[:, arm] == req
+            ok &= a[:, arm] == req
     return ok
 
 
-def _nonempty(data: SubjectData | MemberTable,
+def _nonempty(data: SubjectData,
               label: StratumLabel) -> tuple[np.ndarray, int]:
     """(membership mask, member count); an empty stratum raises."""
     mask = members(data, label)
@@ -150,9 +152,13 @@ def oracle_effect(data: SubjectData | MemberTable,
     differences over sqrt of member count); both potential outcomes are
     known per subject, so no two-sample variance enters.
     """
-    d = data.diff[_nonempty(data, label)[0]]  # no mask held while summing
-    m = len(d)
-    value = exact_mean(d)
+    parts = (data.parts if isinstance(data, MemberTable)
+             else ((data.a, data.diff),))
+    d = [diff[members(a, label)] for a, diff in parts]  # no mask held
+    m = sum(map(len, d))
+    if m == 0:
+        raise EmptyStratumError(f"empty stratum {label.code}")
+    value = _fsum(d) / m
     ss = _fsum(d, lambda v: (v - value) ** 2)
     se = math.sqrt(ss / (m - 1) / m) if m > 1 else 0.0
     return EffectEstimate(value=value, se=se, n_members=m)

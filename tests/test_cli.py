@@ -6,12 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import stratabias
-from stratabias import __version__, cli
+from stratabias import __version__, cli, datagen
 from stratabias.cli import main
 from stratabias.params import load_bundled
 from stratabias.quadrature import null_stratum_effect
@@ -154,9 +155,9 @@ def test_true_effect_off_the_outcome_null(tmp_path, capsys, monkeypatch):
     assert "-> AGREE" in capsys.readouterr().out
     both_rows = (out / "effects.csv").read_text().splitlines()
 
-    def no_draws(cfg):
+    def no_draws(*args):
         raise AssertionError("--method quadrature drew subjects")
-    monkeypatch.setattr(cli, "generate_blocks", no_draws)
+    monkeypatch.setattr(datagen, "generate_block", no_draws)
     out = tmp_path / "quad"
     assert main(["true-effect", scen, "--method", "quadrature",
                  "--out", str(out)]) == 0
@@ -241,6 +242,7 @@ def test_module_help_lists_subcommands():
     ("malformed JSON", ["--method", "quadrature"], 2),
     ("one node", ["--method", "quadrature", "--nodes", "1"], 2),
     ("non-finite rule", ["--method", "quadrature", "--nodes", "186"], 2),
+    ("no threads", ["--threads", "0"], 2),
 ])
 @pytest.mark.filterwarnings("error")
 def test_true_effect_exit_codes(tmp_path, capsys, case, args, code):
@@ -254,13 +256,54 @@ def test_true_effect_exit_codes(tmp_path, capsys, case, args, code):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["simulate", "true-effect"])
+@pytest.mark.parametrize("command", ["simulate"])
 def test_threads_only_where_used(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, scenario_file(tmp_path), "--threads", "2",
               "--out", str(tmp_path / "r")])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_default_threads_are_the_usable_cpus(monkeypatch):
+    """``--threads`` defaults to the CPUs this process may run on: its
+    affinity set, which ``taskset`` or a cpuset narrows, not every CPU of
+    the host; without an affinity call, to ``os.cpu_count()``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for argv in (["true-effect", "s.json"], ["calibrate", "s.json"],
+                 ["paper-demo"]):
+        assert cli._build_parser().parse_args(argv).threads == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._build_parser().parse_args(["paper-demo"]).threads == 64
+
+
+@pytest.mark.parametrize("name", ["full_null_demo", "partial_null_gamma2"])
+def test_true_effect_is_byte_identical_across_threads(tmp_path, monkeypatch,
+                                                      name):
+    """26 blocks of 777 subjects; a barrier holds each thread's first block
+    until every thread has one, so each of the 1, 2 or 8 threads makes
+    blocks, and ``effects.csv`` does not depend on how many there are."""
+    monkeypatch.setattr(datagen, "_CHUNK", 777)
+    make = datagen.generate_block
+    scen = Path(stratabias.__file__).parent / "scenarios" / f"{name}.json"
+    effects = []
+    for threads in (1, 2, 8):
+        barrier, seen = threading.Barrier(threads, timeout=60), set()
+
+        def block(*args):
+            if threading.get_ident() not in seen:
+                seen.add(threading.get_ident())
+                barrier.wait()
+            return make(*args)
+        monkeypatch.setattr(datagen, "generate_block", block)
+        out = tmp_path / str(threads)
+        assert main(["true-effect", str(scen), "--n", "20011", "--threads",
+                     str(threads), "--out", str(out)]) == 0
+        assert len(seen) == threads
+        effects.append((out / "effects.csv").read_bytes())
+    assert effects[0] == effects[1] == effects[2]
 
 
 def test_calibrate_always_keeps_outcomes(tmp_path, capsys):

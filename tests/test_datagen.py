@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from scipy import stats
 from scipy.special import ndtri
 
 import stratabias.datagen as dg
-from stratabias.datagen import (draws_per_subject, generate, generate_block,
-                                observe, write_observed_csv,
-                                write_subjects_csv, write_table)
+from stratabias.datagen import (generate, generate_block, observe,
+                                write_observed_csv, write_subjects_csv,
+                                write_table)
 from stratabias.params import ScenarioConfig, load_scenario
 from stratabias.rng import uniform_matrix
 
@@ -40,7 +41,6 @@ def test_shapes_and_dtypes():
     assert data.z.shape == (321, 2, 3) and data.a_seq.shape == (321, 2, 3)
     assert data.a.dtype == np.int8 and data.t.dtype == np.int8
     assert (data.ids == np.arange(321)).all()
-    assert draws_per_subject(3) == 16
 
 
 def test_generation_is_deterministic():
@@ -69,13 +69,68 @@ def test_chunk_size_is_invisible(monkeypatch):
     assert (whole.a_seq == rechunked.a_seq).all()
 
 
+def test_blocks_come_back_in_id_order_on_any_thread_count(monkeypatch):
+    """More threads than cores and a 1 us switch interval: every block is
+    made exactly once, the results keep id order, threads=1 starts no
+    pool and a pool never gets more workers than there are blocks."""
+    cfg = config(n=6000)
+    whole = generate(cfg)
+    pools, made = [], []
+    real_pool, real_block = dg.ThreadPoolExecutor, dg.generate_block
+
+    def pool(workers):
+        pools.append(workers)
+        return real_pool(workers)
+
+    def block(params, seed, ids):
+        made.append(int(ids[0]))
+        return real_block(params, seed, ids)
+    monkeypatch.setattr(dg, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(dg, "generate_block", block)
+    monkeypatch.setattr(dg, "_CHUNK", 50)  # 120 blocks
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 8):
+            made.clear()
+            blocks = dg.generate_blocks(cfg, lambda b: b, threads)
+            assert sorted(made) == list(range(0, cfg.n, 50))
+            for col in ("ids", "x", "t", "z", "y", "a_seq"):
+                assert np.array_equal(
+                    np.concatenate([getattr(b, col) for b in blocks]),
+                    getattr(whole, col))
+    finally:
+        sys.setswitchinterval(switch)
+    monkeypatch.setattr(dg, "_CHUNK", 2500)
+    assert dg.generate_blocks(cfg, len, 64) == [2500, 2500, 1000]
+    assert pools == [7, 2]
+
+
+def test_a_failed_block_stops_the_other_threads(monkeypatch):
+    cfg = config(n=6000)
+    monkeypatch.setattr(dg, "_CHUNK", 50)
+    reduced = []
+
+    def reduce(block):
+        if block.ids[0] == 1000:
+            raise KeyError("block 20")
+        reduced.append(len(block))
+    for threads in (1, 3):
+        reduced.clear()
+        with pytest.raises(KeyError, match="block 20"):
+            dg.generate_blocks(cfg, reduce, threads)
+        assert len(reduced) < 120 - 20  # nobody went on to the end
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        dg.generate_blocks(cfg, len, 0)
+
+
 def test_outcome_reconstruction_exact():
     """y and z are the documented combinations of the draws' noises."""
     cfg = config(n=4000)
     p = cfg.params
     data = generate(cfg)
-    # the noises are not stored: rebuild them from the draw layout
-    u = uniform_matrix(cfg.seed, data.ids, draws_per_subject(p.K))
+    # the noises are not stored: rebuild them from the whole draw layout
+    u = uniform_matrix(cfg.seed, data.ids, 4 + 4 * p.K)
     eta = p.sigma_eta * ndtri(u[:, 2:2 + 2 * p.K]).reshape(-1, 2, p.K)
     eps = p.sigma_eps * ndtri(u[:, 2 + 2 * p.K:4 + 2 * p.K])
     beta3 = np.asarray(p.beta3)

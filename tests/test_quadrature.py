@@ -16,7 +16,7 @@ from scipy import integrate
 from scipy.special import expit
 
 from stratabias import calibration, quadrature
-from stratabias.datagen import generate, generate_blocks
+from stratabias.datagen import generate
 from stratabias.params import ScenarioConfig, load_bundled, validate
 from stratabias.quadrature import (QuadratureError, RefinementError,
                                    gauss_hermite_normal, null_stratum_effect,
@@ -436,6 +436,5 @@ def test_mc_cross_check_whole_model(data, k):
     cfg = ScenarioConfig(params=p, n=200_000,
                          seed=data.draw(st.integers(0, 2**64 - 1)))
     quad = null_stratum_effect(p)
-    est = oracle_effect(stratum_members(generate_blocks(cfg), (S_TREATED,)),
-                        S_TREATED)
+    est = oracle_effect(stratum_members(cfg, (S_TREATED,)), S_TREATED)
     assert abs(quad - est.value) <= 4.0 * est.se

@@ -191,6 +191,24 @@ def test_chunk_sized_batches_match_the_reference(seed, n_draws):
 
 
 @settings(max_examples=100, deadline=None)
+@given(seed=_SEEDS, ids=_IDS, offset=st.integers(0, 19),
+       n_draws=st.integers(0, 19))
+def test_offset_draws_are_the_matching_columns(seed, ids, offset, n_draws):
+    """Draws ``offset`` .. ``offset + n_draws - 1`` are those columns of the
+    whole layout, for even and odd offsets, on either id-word path."""
+    ids = np.array(ids, dtype=np.int64)
+    got = uniform_matrix(seed, ids, n_draws, offset)
+    cols = slice(offset, offset + n_draws)
+    assert got.shape == (len(ids), n_draws)
+    full = uniform_matrix(seed, ids, offset + n_draws)
+    want = _reference_uniform_matrix(seed, ids, offset + n_draws)
+    assert np.array_equal(got.view(np.uint64), full[:, cols].view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), want[:, cols].view(np.uint64))
+    for d in range(n_draws):
+        assert got[:, d].flags.c_contiguous
+
+
+@settings(max_examples=100, deadline=None)
 @given(ctr=st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=4),
        key=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
 def test_philox_words_match_the_reference(ctr, key):

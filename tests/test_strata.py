@@ -173,7 +173,7 @@ def test_streamed_oracle_is_bitwise_the_whole_table_one(monkeypatch, name,
     cfg = dataclasses.replace(load_bundled(name), n=20_011)
     data = generate(cfg)
     monkeypatch.setattr(datagen, "_CHUNK", chunk)
-    assert len(list(generate_blocks(cfg))) == math.ceil(cfg.n / chunk)
+    assert len(generate_blocks(cfg, len)) == math.ceil(cfg.n / chunk)
     _, both, treated, _ = _oracles(cfg, "mc")
     assert _bits(both) == _bits(oracle_effect(data, S_BOTH))
     assert _bits(treated) == _bits(oracle_effect(data, S_TREATED))
@@ -190,7 +190,11 @@ def test_streamed_oracle_empty_stratum_raises(monkeypatch):
 
 def _member_table(n):
     cfg = dataclasses.replace(load_bundled("full_null_demo"), n=n)
-    return strata.stratum_members(generate_blocks(cfg), (S_BOTH, S_TREATED))
+    return strata.stratum_members(cfg, (S_BOTH, S_TREATED))
+
+
+def _diffs(table):
+    return [diff for _, diff in table.parts]
 
 
 def test_oracle_effect_holds_one_contrast_copy():
@@ -199,7 +203,7 @@ def test_oracle_effect_holds_one_contrast_copy():
     second member-length float array is held.  The traced peak is that
     copy, one slice's Python floats and numpy's other buffers."""
     table = _member_table(1 << 20)
-    m = len(table.diff)
+    m = sum(map(len, _diffs(table)))
     assert m > 300_000  # the contrast copy, not fsum's 1 MB slices, peaks
     tracemalloc.start()
     try:
@@ -209,7 +213,7 @@ def test_oracle_effect_holds_one_contrast_copy():
     finally:
         tracemalloc.stop()
     assert est.n_members == m  # S_BOTH lies inside S_*+
-    assert peak < 1.5 * table.diff.nbytes
+    assert peak < 1.5 * sum(d.nbytes for d in _diffs(table))
 
 
 _N_ORDER = 1000
@@ -222,8 +226,8 @@ _ORDER_DIFF = np.concatenate(
        block=st.integers(min_value=1, max_value=_N_ORDER))
 def test_oracle_effect_is_order_free_over_permuted_blocks(seed, block):
     """Contrasts whose np.std depends on their order: any permutation of
-    the records, fed to stratum_members in blocks of any size, gives the
-    id-ordered estimate bit for bit."""
+    the records, read into a member table's parts in blocks of any size,
+    gives the id-ordered estimate bit for bit."""
     diff = _ORDER_DIFF
     fixed = np.random.default_rng(0).permutation(_N_ORDER)
     assert np.std(diff[fixed], ddof=1) != np.std(diff, ddof=1)
@@ -236,8 +240,9 @@ def test_oracle_effect_is_order_free_over_permuted_blocks(seed, block):
     blocks = (SubjectData(*(col[i:i + block] for col in (
         shuffled.ids, shuffled.x, shuffled.t, shuffled.z, shuffled.y,
         shuffled.a_seq))) for i in range(0, _N_ORDER, block))
-    table = strata.stratum_members(blocks, (S_BOTH, S_TREATED))
-    assert len(table.diff) == _N_ORDER
+    table = strata.MemberTable(tuple(
+        strata.block_members(b, (S_BOTH, S_TREATED)) for b in blocks))
+    assert sum(map(len, _diffs(table))) == _N_ORDER
     for label in (S_BOTH, S_TREATED):
         want = _bits(oracle_effect(data, label))
         assert _bits(oracle_effect(shuffled, label)) == want
@@ -265,7 +270,8 @@ def test_tower_check_catches_an_order_dependent_mean(monkeypatch):
 
 def test_streamed_oracle_peaks_below_half_the_whole_table():
     """numpy reports its buffers to tracemalloc, so the traced peak is
-    the memory each path holds at once, free of RSS noise."""
+    the memory each path holds at once, free of RSS noise.  A second
+    thread holds at most one more block's arrays than the serial pass."""
     cfg = dataclasses.replace(load_bundled("full_null_demo"), n=1 << 20)
 
     def peak(run):
@@ -281,5 +287,10 @@ def test_streamed_oracle_peaks_below_half_the_whole_table():
         oracle_effect(data, S_BOTH)
         oracle_effect(data, S_TREATED)
 
-    streamed = peak(lambda: _oracles(cfg, "mc"))
-    assert streamed < peak(whole) / 2
+    block = peak(lambda: strata.block_members(datagen.generate_block(
+        cfg.params, cfg.seed, np.arange(datagen._CHUNK, dtype=np.int64)),
+        (S_BOTH, S_TREATED)))  # one block in flight: its ids, arrays, part
+    serial = peak(lambda: _oracles(cfg, "mc"))
+    threaded = peak(lambda: _oracles(cfg, "mc", threads=2))
+    assert threaded <= serial + block
+    assert serial < threaded < peak(whole) / 2

@@ -28,9 +28,12 @@ the default R, whose offset misses the truth by more than 5 SE: its
 sigma_eta_zero`` with the naive estimator (which fits no visit model),
 three runs that fail after their scenario
 loads, one that ``calibrate`` rejects as a usage error (``--no-keep-y``:
-it always keeps outcomes), and ``paper-demo`` with and without
-``--seed``.  Outputs are deleted once compared.  It takes a few minutes
-on two cores and is not part of the test suite.  Exit status: 0 when
+it always keeps outcomes), ``true-effect full_null_demo --method mc``
+at ``--threads 1`` and ``2`` (the streamed oracle on one thread and on
+two; a checkout whose ``true-effect`` has no ``--threads`` exits 2 on
+both), and ``paper-demo`` with and without ``--seed``.  Outputs are
+deleted once compared.  It takes a few minutes on two cores and is not
+part of the test suite.  Exit status: 0 when
 every run matches, 1 otherwise.
 """
 
@@ -83,6 +86,12 @@ def invocations(scenarios: list[str], work: Path) -> list[tuple[str, list]]:
          ["calibrate", "{sigma_eta_zero}", "--threads", "2"]),
         ("calibrate sigma_eta_zero --estimator naive",
          ["calibrate", "{sigma_eta_zero}", "--estimator", "naive",
+          "--threads", "2"]),
+        ("true-effect full_null_demo --method mc --threads 1",
+         ["true-effect", "{full_null_demo}", "--method", "mc",
+          "--threads", "1"]),
+        ("true-effect full_null_demo --method mc --threads 2",
+         ["true-effect", "{full_null_demo}", "--method", "mc",
           "--threads", "2"]),
         ("paper-demo", ["paper-demo", "--threads", "2"]),
         ("paper-demo --seed 11",

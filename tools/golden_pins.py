@@ -34,7 +34,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from stratabias.datagen import generate_blocks  # noqa: E402
 from stratabias.params import load_bundled  # noqa: E402
 from stratabias.strata import (S_TREATED, oracle_effect,  # noqa: E402
                                stratum_members)
@@ -63,9 +62,8 @@ def main() -> int:
         for seed in SEEDS:
             cfg = dataclasses.replace(load_bundled(name), n=N, seed=seed)
             t0 = time.monotonic()
-            est = oracle_effect(
-                stratum_members(generate_blocks(cfg), (S_TREATED,)),
-                S_TREATED)
+            est = oracle_effect(stratum_members(cfg, (S_TREATED,)),
+                                S_TREATED)
             z = (est.value - pin) / math.hypot(est.se, pin_se)
             worst = max(worst, abs(z))
             print(f"{name} seed {seed}: {est.value:.6f} +/- {est.se:.6f} "
