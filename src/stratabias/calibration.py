@@ -202,8 +202,7 @@ def fit_sequential_logistic(observed: ObservedData,
 
 
 def _visits(observed: ObservedData):
-    """Yield (what, at_risk, x, z_k, response) per visit of arm 1; the
-    0/1 response is float64, so the fit's arithmetic casts nothing."""
+    """Yield (what, at_risk, x, z_k, response) per visit of arm 1."""
     # integer gathers: several times faster than by a scattered bool mask
     idx = np.flatnonzero(observed.t == 1)
     x, z, a = observed.x[idx], observed.z.take(idx, axis=0), observed.a[idx]
@@ -215,7 +214,7 @@ def _visits(observed: ObservedData):
                            f"(need >= {_MIN_AT_RISK})")
         resp = (~np.isnan(z[:, k + 1][at_risk]) if k + 1 < observed.K
                 else a[at_risk] == 1)
-        yield what, at_risk, x[at_risk], z[:, k][at_risk], resp.astype(float)
+        yield what, at_risk, x[at_risk], z[:, k][at_risk], resp
 
 
 def _line(x: np.ndarray, y: np.ndarray, what: str):

@@ -36,7 +36,7 @@ from .params import (ScenarioConfig, is_outcome_null, load_bundled,
                      load_scenario)
 from .quadrature import RefinementError, null_stratum_effect
 from .strata import (S_BOTH, S_TREATED, EffectEstimate, oracle_effect,
-                     stratum_members, write_effects_csv)
+                     stratum_sums, write_effects_csv)
 
 Run = tuple[dict, int]  # a subcommand's ({file name: writer}, failed claims)
 
@@ -66,14 +66,14 @@ def _oracles(cfg: ScenarioConfig, method: str = "both", threads: int = 1,
     Monte Carlo effects and their ``_gap_check``, None where ``method``
     skips one.  The closed form runs before any subject is drawn, and
     ``quadrature`` draws none; the subjects are streamed in id blocks on
-    ``threads`` threads, keeping only the two strata's members."""
+    ``threads`` threads, keeping only their cells' exact sums."""
     quad = (null_stratum_effect(cfg.params, **quad_options)
             if method != "mc" else None)
     if method == "quadrature":
         return quad, None, None, None
-    table = stratum_members(cfg, (S_BOTH, S_TREATED), threads)
-    both = oracle_effect(table, S_BOTH)
-    treated = oracle_effect(table, S_TREATED)
+    sums = stratum_sums(cfg, (S_BOTH, S_TREATED), threads)
+    both = oracle_effect(sums, S_BOTH)
+    treated = oracle_effect(sums, S_TREATED)
     if quad is None:
         return quad, both, treated, None
     return quad, both, treated, _gap_check(quad, treated.value, treated.se,

@@ -38,9 +38,9 @@ K = 3.
 
 ``generate_blocks`` maps a function over the id blocks of ``_CHUNK`` on
 up to ``threads`` threads, one block in flight per thread.  The Monte
-Carlo oracle keeps only each block's stratum members, so its memory
-grows with the members and threads, not with n, and its values depend
-on neither the block size nor the thread count.
+Carlo oracle reduces each block to exact integer sums, so its memory
+grows with the threads, not with n, and its values depend on neither
+the block size nor the thread count.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class SubjectData:
 
         ids (n,), x (n,), t (n,), z (n, 2, K), y (n, 2), a_seq (n, 2, K)
 
-    Derived, not stored: ``a`` (overall adherence, the last visit of
-    ``a_seq``) and ``diff`` (the contrast y(1) - y(0)).
+    Derived, not stored: ``a``, overall adherence (the last visit of
+    ``a_seq``).
     """
 
     def __init__(self, ids, x, t, z, y, a_seq):
@@ -95,11 +95,6 @@ class SubjectData:
     def a(self) -> np.ndarray:
         """Overall adherence A(t) per arm, a view of ``a_seq[:, :, -1]``."""
         return self.a_seq[:, :, -1]
-
-    @property
-    def diff(self) -> np.ndarray:
-        """Per-subject treatment contrast y(1) - y(0)."""
-        return self.y[:, 1] - self.y[:, 0]
 
 
 class ObservedData:

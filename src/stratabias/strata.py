@@ -6,20 +6,17 @@ only computable in simulation ("oracle" access).  Three strata matter
 here: adherent under both arms, adherent under the experimental arm, and
 adherent under control.
 
-Stratum means and the sums of squares of their SEs use exactly-rounded
-summation (math.fsum), so results are independent of record order and
-of how members are grouped - the grouped-mean (tower) identity and
+Every sum here is exact, an integer that rounds once, so stratum means
+and the sums of squares behind their SEs do not depend on record order
+or on how members are grouped - the grouped-mean (tower) identity and
 permutation invariance hold bit-for-bit, and nothing is sorted.
 
-``oracle_effect`` reads only ``a`` and ``diff``: a whole ``SubjectData``
-and the ``MemberTable`` whose per-block parts ``stratum_members`` keeps
-from the id blocks, on any number of threads, give bitwise the same
-estimate.
+``oracle_effect`` reads a whole ``SubjectData`` or the per-cell sums of
+``stratum_sums``, on any number of threads, to bitwise the same estimate.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +28,10 @@ from .datagen import SubjectData, generate_blocks, write_table
 from .params import ScenarioConfig
 
 
-# Elements per slice in _fsum: 1 MB of Python floats at a time.
-_FSUM_CHUNK = 1 << 15
+# Values per accumulator pass: bounds its temporaries and (< 2^26) keeps
+# its float64 bin sums of 27-bit mantissa halves exact.
+_SLICE = 1 << 15
+_ONE = 1 << 1126  # an exact sum S stands for S / _ONE
 
 
 class EmptyStratumError(ValueError):
@@ -81,56 +80,77 @@ class BiasReport:
         return self.mean_y0_given_a1 - self.mean_y0
 
 
-@dataclass(frozen=True)
-class MemberTable:
-    """The stratum members of a dataset, 10 B each, as one part per id
-    block in id order: the part's adherence pairs ``a`` (m, 2) and
-    contrasts ``diff`` y(1) - y(0).  The parts are never joined, which
-    would allocate the whole table a second time."""
-
-    parts: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def block_members(block: SubjectData, labels: tuple[StratumLabel, ...]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """A block's part of the member table: (a, diff) of its subjects in
-    any of ``labels``."""
-    keep = np.zeros(len(block), dtype=bool)
-    for label in labels:
-        keep |= members(block, label)
-    return block.a[keep], block.diff[keep]
+def _exact(*arrays) -> int:
+    """The exact sum of the finite values in ``arrays`` in units of 2^-1126:
+    a value is m * 2^(e - 53) with m a signed 53-bit integer, and
+    ``np.bincount`` sums m's 27- and 26-bit halves per e."""
+    total = 0
+    for values in arrays:
+        for lo in range(0, len(values), _SLICE):
+            frac, e = np.frexp(values[lo:lo + _SLICE])
+            if not np.isfinite(frac).all():
+                raise ValueError("an exact sum needs finite values")
+            m = np.ldexp(frac, 53).astype(np.int64)
+            for shift, half in ((26, m >> 26), (0, m & (1 << 26) - 1)):
+                bins = np.bincount(e + 1073, half)
+                total += sum(int(bins[k]) << k + shift
+                             for k in np.flatnonzero(bins).tolist())
+    return total
 
 
-def stratum_members(config: ScenarioConfig, labels: tuple[StratumLabel, ...],
-                    threads: int = 1) -> MemberTable:
-    """One pass over the scenario's id blocks on ``threads`` threads
-    (``generate_blocks``), keeping only the subjects in any of
-    ``labels``; each block is dropped once its part is taken."""
-    return MemberTable(tuple(generate_blocks(
-        config, lambda block: block_members(block, labels), threads)))
+def _cells(labels: tuple[StratumLabel, ...]) -> list[tuple[int, int]]:
+    """The (a(0), a(1)) cells that any of ``labels`` admits."""
+    return [(i, j) for i in (0, 1) for j in (0, 1)
+            if any(label.req0 in (None, i) and label.req1 in (None, j)
+                   for label in labels)]
 
 
-def _fsum(arrays, term=lambda v: v) -> float:
-    """Exactly-rounded sum of ``term`` over the arrays, read lazily by
-    slices."""
-    chunks = (term(v[i:i + _FSUM_CHUNK]).tolist()
-              for v in arrays for i in range(0, len(v), _FSUM_CHUNK))
-    return math.fsum(itertools.chain.from_iterable(chunks))
+def _block_sums(a: np.ndarray, y: np.ndarray,
+                cells: list[tuple[int, int]]) -> dict:
+    """Per cell of a block's adherence pairs ``a``: the count and exact
+    sums of the contrasts d and of d^2, as h^2 + 2h*low + low^2 (exact
+    doubles, as d = h + low splits into 26-bit halves: Veltkamp)."""
+    d = y[:, 1] - y[:, 0]
+    sums = {}
+    for i, j in cells:
+        dc = d[(a[:, 0] == i) & (a[:, 1] == j)]
+        h = 134217729.0 * dc
+        h -= h - dc
+        low = dc - h
+        sums[i, j] = (len(dc), _exact(dc),
+                      _exact(h * h, 2.0 * h * low, low * low))
+    return sums
+
+
+def stratum_sums(source: ScenarioConfig | SubjectData,
+                 labels: tuple[StratumLabel, ...], threads: int = 1) -> dict:
+    """{(a(0), a(1)): (members, sum of d, sum of d^2)} over the cells
+    ``labels`` cover, each sum exact as an integer in units of 2^-1126:
+    of a table's slices, or of a scenario's id blocks, each reduced and
+    dropped on the one of ``threads`` threads that made it."""
+    cells = _cells(labels)
+    if isinstance(source, SubjectData):
+        parts = [_block_sums(source.a[lo:lo + _SLICE],
+                             source.y[lo:lo + _SLICE], cells)
+                 for lo in range(0, len(source), _SLICE)]
+    else:
+        parts = generate_blocks(source, lambda block: _block_sums(
+            block.a, block.y, cells), threads)
+    return {c: tuple(map(sum, zip((0, 0, 0), *(p[c] for p in parts))))
+            for c in cells}
 
 
 def exact_mean(values: np.ndarray) -> float:
     """Exactly-rounded mean: independent of summation order and grouping."""
-    return _fsum((values,)) / len(values)
+    return _exact(values) / _ONE / len(values)
 
 
-def members(data: SubjectData | np.ndarray,
-            label: StratumLabel) -> np.ndarray:
-    """Boolean membership mask over a dataset or its adherence pairs."""
-    a = data.a if isinstance(data, SubjectData) else data
-    ok = np.ones(len(a), dtype=bool)
+def members(data: SubjectData, label: StratumLabel) -> np.ndarray:
+    """Boolean membership mask over a dataset."""
+    ok = np.ones(len(data), dtype=bool)
     for arm, req in enumerate((label.req0, label.req1)):
         if req is not None:
-            ok &= a[:, arm] == req
+            ok &= data.a[:, arm] == req
     return ok
 
 
@@ -144,24 +164,24 @@ def _nonempty(data: SubjectData,
     return mask, m
 
 
-def oracle_effect(data: SubjectData | MemberTable,
+def oracle_effect(data: SubjectData | dict,
                   label: StratumLabel) -> EffectEstimate:
     """Mean and SE of y(1) - y(0) over the stratum's members.
 
     The SE is the paired-difference SE (sample SD of per-member
     differences over sqrt of member count); both potential outcomes are
-    known per subject, so no two-sample variance enters.
+    known per subject, so no two-sample variance enters.  The exact sum
+    of d rounds once and is divided by m; the sum of squares
+    sum(d^2) - sum(d)^2 / m rounds once from the exact rational.
     """
-    parts = (data.parts if isinstance(data, MemberTable)
-             else ((data.a, data.diff),))
-    d = [diff[members(a, label)] for a, diff in parts]  # no mask held
-    m = sum(map(len, d))
+    if isinstance(data, SubjectData):
+        data = stratum_sums(data, (label,))
+    m, s1, s2 = map(sum, zip(*(data[c] for c in _cells((label,)))))
     if m == 0:
         raise EmptyStratumError(f"empty stratum {label.code}")
-    value = _fsum(d) / m
-    ss = _fsum(d, lambda v: (v - value) ** 2)
+    ss = (m * s2 * _ONE - s1 * s1) / (m * _ONE * _ONE)
     se = math.sqrt(ss / (m - 1) / m) if m > 1 else 0.0
-    return EffectEstimate(value=value, se=se, n_members=m)
+    return EffectEstimate(value=s1 / _ONE / m, se=se, n_members=m)
 
 
 def tower_check(data: SubjectData, label: StratumLabel = S_TREATED,
@@ -182,7 +202,7 @@ def tower_check(data: SubjectData, label: StratumLabel = S_TREATED,
     if n_bins > m:
         raise ValueError(f"n_bins={n_bins} exceeds stratum size {m}")
 
-    d = data.diff[mask]
+    d = data.y[mask, 1] - data.y[mask, 0]
     lhs = exact_mean(d)
 
     order = np.lexsort((data.ids[mask], data.x[mask]))

@@ -21,7 +21,7 @@ from stratabias.params import ScenarioConfig, load_bundled, validate
 from stratabias.quadrature import (QuadratureError, RefinementError,
                                    gauss_hermite_normal, null_stratum_effect,
                                    visit_product)
-from stratabias.strata import S_TREATED, oracle_effect, stratum_members
+from stratabias.strata import S_TREATED, oracle_effect, stratum_sums
 
 DEMO = load_bundled("full_null_demo").params
 
@@ -436,5 +436,5 @@ def test_mc_cross_check_whole_model(data, k):
     cfg = ScenarioConfig(params=p, n=200_000,
                          seed=data.draw(st.integers(0, 2**64 - 1)))
     quad = null_stratum_effect(p)
-    est = oracle_effect(stratum_members(cfg, (S_TREATED,)), S_TREATED)
+    est = oracle_effect(stratum_sums(cfg, (S_TREATED,)), S_TREATED)
     assert abs(quad - est.value) <= 4.0 * est.se

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,14 +138,97 @@ def test_bias_decomposition_identity():
 
 
 def test_exact_mean_is_bitwise_one_fsum_over_the_whole_list():
-    """Sums that cancel only across exact_mean's slice boundaries."""
-    cancel = np.tile([1e16, 1.0, -1e16], (strata._FSUM_CHUNK * 2) // 3 + 5)
+    """Sums that cancel only across the accumulator's slice boundaries."""
+    cancel = np.tile([1e16, 1.0, -1e16], (strata._SLICE * 2) // 3 + 5)
     rng = np.random.default_rng(7)
     for values in (cancel, rng.standard_normal(100_000),
                    np.concatenate([cancel, rng.standard_normal(100_000)]),
                    rng.standard_normal(3)):
         assert exact_mean(values) == math.fsum(values.tolist()) / len(values)
     assert exact_mean(cancel) == 1.0 / 3.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _summands(draw):
+    """Finite doubles (signed zeros, subnormals, +-1e308 included), with
+    some of them planted again negated, so that sums cancel."""
+    values = draw(st.lists(st.one_of(
+        _FINITE, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308,
+                                  -1e308, 2.2250738585072014e-308])),
+        max_size=60))
+    planted = draw(st.lists(st.sampled_from(values), max_size=len(values))
+                   if values else st.just([]))
+    return draw(st.permutations(values + [-v for v in planted]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_summands(), data=st.data())
+def test_exact_sum_is_fsum_and_splits_into_any_parts(values, data):
+    """The integer sum is the exact rational sum, rounds to math.fsum's
+    bits (where fsum does not overflow in between), and is the same
+    integer for every split of the values into parts."""
+    total = strata._exact(np.array(values))
+    exact = sum(map(Fraction, values), Fraction(0))
+    assert Fraction(total, strata._ONE) == exact
+    try:
+        want = math.fsum(values)
+    except OverflowError:  # fsum's partials overflow; the exact sum need not
+        want = None
+    if want is not None:
+        assert (total / strata._ONE).hex() == want.hex()
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)),
+                                     max_size=6)))
+    parts = [np.array(values[lo:hi], dtype=float)
+             for lo, hi in zip([0] + cuts, cuts + [len(values)])]
+    assert strata._exact(*parts) == total
+    assert sum(map(strata._exact, parts)) == total
+
+
+_MODERATE = st.one_of(st.just(0.0), st.just(-0.0),
+                      st.floats(min_value=1e-120, max_value=1e120),
+                      st.floats(min_value=-1e120, max_value=-1e-120))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_MODERATE, max_size=60))
+def test_cell_sums_of_squares_are_exact(values):
+    """A cell's sum of d^2 (Veltkamp halves) is the exact rational one
+    wherever the squares neither overflow nor underflow."""
+    d = np.array(values, dtype=float)
+    y = np.column_stack([np.zeros_like(d), d])
+    a = np.ones((len(d), 2), dtype=np.int8)
+    m, s1, s2 = strata._block_sums(a, y, [(1, 1)])[1, 1]
+    assert m == len(values)
+    assert Fraction(s1, strata._ONE) == sum(map(Fraction, values), Fraction(0))
+    assert Fraction(s2, strata._ONE) == sum(
+        (Fraction(v) ** 2 for v in values), Fraction(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                       min_size=2, max_size=50),
+       shift=st.sampled_from([0.0, 1e6, -1e9]))
+def test_oracle_se_rounds_the_exact_sum_of_squares_once(values, shift):
+    """The value is the once-rounded sum over m; the sum of squares
+    sum(d^2) - sum(d)^2 / m is rounded once from the exact rational, so
+    a shift that cancels most digits loses none."""
+    d = np.array(values) + shift
+    est = oracle_effect(tiny_data(a0=np.ones(len(d)), a1=np.ones(len(d)),
+                                  diff=d), S_BOTH)
+    exact = list(map(Fraction, d.tolist()))
+    m, total = len(exact), sum(exact)
+    ss = float(sum(v * v for v in exact) - total * total / m)
+    assert est.value == float(total) / m
+    assert est.se == math.sqrt(ss / (m - 1) / m)
+
+
+def test_exact_sum_refuses_non_finite_values():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            strata._exact(np.array([1.0, bad]))
 
 
 def test_effects_csv(tmp_path):
@@ -168,15 +253,17 @@ def _bits(est):
 @pytest.mark.parametrize("name", ["full_null_demo", "partial_null_gamma2"])
 def test_streamed_oracle_is_bitwise_the_whole_table_one(monkeypatch, name,
                                                          chunk):
-    """``_oracles`` streams id blocks and keeps only stratum members; its
-    estimates are bitwise those of the whole table, whatever the block."""
+    """``_oracles`` streams id blocks and keeps only their cells' exact
+    sums; its estimates are bitwise those of the whole table, whatever
+    the block and the thread count."""
     cfg = dataclasses.replace(load_bundled(name), n=20_011)
     data = generate(cfg)
     monkeypatch.setattr(datagen, "_CHUNK", chunk)
     assert len(generate_blocks(cfg, len)) == math.ceil(cfg.n / chunk)
-    _, both, treated, _ = _oracles(cfg, "mc")
-    assert _bits(both) == _bits(oracle_effect(data, S_BOTH))
-    assert _bits(treated) == _bits(oracle_effect(data, S_TREATED))
+    for threads in (1, 2, 8):
+        _, both, treated, _ = _oracles(cfg, "mc", threads=threads)
+        assert _bits(both) == _bits(oracle_effect(data, S_BOTH))
+        assert _bits(treated) == _bits(oracle_effect(data, S_TREATED))
 
 
 def test_streamed_oracle_empty_stratum_raises(monkeypatch):
@@ -188,32 +275,23 @@ def test_streamed_oracle_empty_stratum_raises(monkeypatch):
         _oracles(cfg, "mc")
 
 
-def _member_table(n):
-    cfg = dataclasses.replace(load_bundled("full_null_demo"), n=n)
-    return strata.stratum_members(cfg, (S_BOTH, S_TREATED))
-
-
-def _diffs(table):
-    return [diff for _, diff in table.parts]
-
-
 def test_oracle_effect_holds_one_contrast_copy():
-    """oracle_effect holds one copy of the selected contrasts while it
-    sums, and reads their squared deviations 2^15 at a time, so no
-    second member-length float array is held.  The traced peak is that
-    copy, one slice's Python floats and numpy's other buffers."""
-    table = _member_table(1 << 20)
-    m = sum(map(len, _diffs(table)))
-    assert m > 300_000  # the contrast copy, not fsum's 1 MB slices, peaks
+    """oracle_effect holds less than one copy of the selected contrasts:
+    it reduces a whole table slice by slice to exact sums, so its traced
+    peak is under half the contrasts' bytes."""
+    data = generate(dataclasses.replace(load_bundled("full_null_demo"),
+                                        n=1 << 20))
+    m = int(members(data, S_TREATED).sum())
+    assert m > 300_000
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        est = oracle_effect(table, S_TREATED)
+        est = oracle_effect(data, S_TREATED)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert est.n_members == m  # S_BOTH lies inside S_*+
-    assert peak < 1.5 * sum(d.nbytes for d in _diffs(table))
+    assert est.n_members == m
+    assert peak < 0.5 * 8 * m
 
 
 _N_ORDER = 1000
@@ -226,8 +304,8 @@ _ORDER_DIFF = np.concatenate(
        block=st.integers(min_value=1, max_value=_N_ORDER))
 def test_oracle_effect_is_order_free_over_permuted_blocks(seed, block):
     """Contrasts whose np.std depends on their order: any permutation of
-    the records, read into a member table's parts in blocks of any size,
-    gives the id-ordered estimate bit for bit."""
+    the records, reduced to cell sums in blocks of any size whose sums
+    are added in any order, gives the id-ordered estimate bit for bit."""
     diff = _ORDER_DIFF
     fixed = np.random.default_rng(0).permutation(_N_ORDER)
     assert np.std(diff[fixed], ddof=1) != np.std(diff, ddof=1)
@@ -237,16 +315,18 @@ def test_oracle_effect_is_order_free_over_permuted_blocks(seed, block):
     shuffled = SubjectData(ids=data.ids[perm], x=data.x[perm],
                            t=data.t[perm], z=data.z[perm], y=data.y[perm],
                            a_seq=data.a_seq[perm])
-    blocks = (SubjectData(*(col[i:i + block] for col in (
+    labels = (S_BOTH, S_TREATED)
+    parts = [strata.stratum_sums(SubjectData(*(col[i:i + block] for col in (
         shuffled.ids, shuffled.x, shuffled.t, shuffled.z, shuffled.y,
-        shuffled.a_seq))) for i in range(0, _N_ORDER, block))
-    table = strata.MemberTable(tuple(
-        strata.block_members(b, (S_BOTH, S_TREATED)) for b in blocks))
-    assert sum(map(len, _diffs(table))) == _N_ORDER
-    for label in (S_BOTH, S_TREATED):
+        shuffled.a_seq))), labels) for i in range(0, _N_ORDER, block)]
+    np.random.default_rng(seed).shuffle(parts)
+    sums = {c: tuple(map(sum, zip(*(p[c] for p in parts)))) for c in parts[0]}
+    assert sums == strata.stratum_sums(data, labels)
+    assert sum(m for m, _, _ in sums.values()) == _N_ORDER
+    for label in labels:
         want = _bits(oracle_effect(data, label))
         assert _bits(oracle_effect(shuffled, label)) == want
-        assert _bits(oracle_effect(table, label)) == want
+        assert _bits(oracle_effect(sums, label)) == want
 
 
 def test_tower_check_catches_an_order_dependent_mean(monkeypatch):
@@ -271,7 +351,8 @@ def test_tower_check_catches_an_order_dependent_mean(monkeypatch):
 def test_streamed_oracle_peaks_below_half_the_whole_table():
     """numpy reports its buffers to tracemalloc, so the traced peak is
     the memory each path holds at once, free of RSS noise.  A second
-    thread holds at most one more block's arrays than the serial pass."""
+    thread holds at most one more block in flight on its own thread than
+    the serial pass, and the serial pass's peak does not grow with n."""
     cfg = dataclasses.replace(load_bundled("full_null_demo"), n=1 << 20)
 
     def peak(run):
@@ -287,10 +368,20 @@ def test_streamed_oracle_peaks_below_half_the_whole_table():
         oracle_effect(data, S_BOTH)
         oracle_effect(data, S_TREATED)
 
-    block = peak(lambda: strata.block_members(datagen.generate_block(
-        cfg.params, cfg.seed, np.arange(datagen._CHUNK, dtype=np.int64)),
-        (S_BOTH, S_TREATED)))  # one block in flight: its ids, arrays, part
+    def one_block():  # in flight on a worker: its ids, arrays, sums, thread
+        with ThreadPoolExecutor(1) as pool:
+            pool.submit(lambda: strata.stratum_sums(datagen.generate_block(
+                cfg.params, cfg.seed,
+                np.arange(datagen._CHUNK, dtype=np.int64)),
+                (S_BOTH, S_TREATED))).result()
+
+    def serial_at(n):
+        return peak(lambda: _oracles(dataclasses.replace(cfg, n=n), "mc"))
+
+    block = peak(one_block)
     serial = peak(lambda: _oracles(cfg, "mc"))
     threaded = peak(lambda: _oracles(cfg, "mc", threads=2))
     assert threaded <= serial + block
     assert serial < threaded < peak(whole) / 2
+    # only the blocks' integer sums, about 1 kB each, accumulate
+    assert serial_at(1 << 21) < 1.01 * serial_at(1 << 19)

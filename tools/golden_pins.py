@@ -7,17 +7,19 @@ stratum effect of two bundled scenarios as ``GOLDEN_FULL_NULL`` and
 ``GOLDEN_PARTIAL_NULL``, each a (mean, SE) pair from a Monte Carlo
 oracle run at n = 10^7.  This script makes fresh runs of that oracle:
 for each scenario and each seed in ``SEEDS`` it streams n = 10^7
-subjects in id blocks, keeps only the stratum's members and takes their
-mean contrast.  It prints each run's z-score against its pin,
+subjects in id blocks on the CLI's default thread count (the CPUs the
+process may run on), keeps only the exact sums of the stratum's cells
+and takes their mean contrast.  It prints each run's z-score against
+its pin,
 
     z = (run - pin) / sqrt(se_run^2 + se_pin^2),
 
 and exits 1 when any |z| exceeds 3.5, the suite's Monte Carlo
 agreement threshold.  The pins are read from the test module, never
 restated or edited here.  It is not part of the test suite: on a
-2-vCPU Xeon each run takes 6-7 s, all six about 40 s, with a peak RSS
-near 250 MB (the partial null has 8.4 million members, 10 B each in
-the member table).
+2-vCPU Xeon at two threads each run takes 4-5 s, all six about 28 s,
+with a peak RSS of 94.5 MB (``ru_maxrss``), whatever the member count
+(the partial null has 8.4 million).
 
 Seeds 1, 2 and 3 gave |z| <= 1.75 on both pins.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -36,9 +39,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from stratabias.params import load_bundled  # noqa: E402
 from stratabias.strata import (S_TREATED, oracle_effect,  # noqa: E402
-                               stratum_members)
+                               stratum_sums)
 
 N = 10_000_000
+THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)  # as the CLI's --threads default
 SEEDS = (1, 2, 3)
 SIGMAS = 3.5
 PINS = (("full_null_demo", "GOLDEN_FULL_NULL"),
@@ -62,7 +67,7 @@ def main() -> int:
         for seed in SEEDS:
             cfg = dataclasses.replace(load_bundled(name), n=N, seed=seed)
             t0 = time.monotonic()
-            est = oracle_effect(stratum_members(cfg, (S_TREATED,)),
+            est = oracle_effect(stratum_sums(cfg, (S_TREATED,), THREADS),
                                 S_TREATED)
             z = (est.value - pin) / math.hypot(est.se, pin_se)
             worst = max(worst, abs(z))
