@@ -28,19 +28,20 @@ Normals come from the uniforms by inverse CDF, and a visit adheres when
 its uniform falls below the logistic probability, so raising gamma0 with
 the same seed can only turn non-adherers into adherers, never the
 reverse.  The fixed layout makes each record a pure function of
-(seed, id) - chunking and parallelism cannot change the data.
+(seed, id) - the block size and parallelism cannot change the data.
 
-Each chunk's draws are made in four stages (x and T, eta, eps and the
-adherence uniforms), each freed before the next, and the noises are not
-kept: ``SubjectData`` stores only what the oracles, estimators and
-writers read (x, t, z, y and the adherence path), 87 B per subject at
-K = 3.
+``generate_block`` makes one block in one pass.  Each block's draws are
+made in four stages (x and T, eta, eps and the adherence uniforms), each
+freed before the next, and the noises are not kept: ``SubjectData``
+stores only what the oracles, estimators and writers read (x, t, z, y
+and the adherence path), 87 B per subject at K = 3.
 
-``generate_blocks`` maps a function over the id blocks of ``_CHUNK`` on
-up to ``threads`` threads, one block in flight per thread.  The Monte
-Carlo oracle reduces each block to exact integer sums, so its memory
-grows with the threads, not with n, and its values depend on neither
-the block size nor the thread count.
+``generate_blocks`` is the one loop over the id blocks of ``_CHUNK``: it
+maps a function over them on up to ``threads`` threads, one block in
+flight per thread.  ``generate`` is that map on one thread, each block
+copied into its rows of one table; the Monte Carlo oracle reduces each
+block to exact integer sums, so its memory grows with the threads, not
+with n.
 """
 
 from __future__ import annotations
@@ -126,68 +127,63 @@ class ObservedData:
 
 
 def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectData:
-    """Generate the given subject ids; any id partition yields identical rows."""
-    K = params.K
-    n = ids.shape[0]
-    out_x = np.empty(n)
-    out_t = np.empty(n, dtype=np.int8)
-    out_z = np.empty((n, 2, K))
-    out_y = np.empty((n, 2))
-    out_aseq = np.empty((n, 2, K), dtype=np.int8)
-
-    alpha0 = np.asarray(params.alpha0)
-    alpha1 = np.asarray(params.alpha1)
-    alpha2 = np.asarray(params.alpha2)
-    beta3 = np.asarray(params.beta3)
-
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        x, t, block = out_x[lo:hi], out_t[lo:hi], ids[lo:hi]
-        z, y, a_seq = out_z[lo:hi], out_y[lo:hi], out_aseq[lo:hi]
-
-        # each stage draws only its own uniforms and frees them before
-        # the next; the normals overwrite their uniforms
-        u = uniform_matrix(seed, block, 2)
-        x[:] = params.mu_x + params.sigma_x * ndtri(u[:, 0])
-        t[:] = u[:, 1] < params.p_treat
-        del u
-        eta = uniform_matrix(seed, block, 2 * K, 2)
-        ndtri(eta, out=eta)
-        eta *= params.sigma_eta
-        for arm in (0, 1):
-            for k in range(K):
-                z[:, arm, k] = (alpha0[k] + alpha1[k] * x + alpha2[k] * arm
-                                + eta[:, arm * K + k])
-        del eta
-        eps = uniform_matrix(seed, block, 2, 2 + 2 * K)
-        ndtri(eps, out=eps)
-        eps *= params.sigma_eps
-        for arm in (0, 1):
-            acc = beta3[0] * z[:, arm, 0]
-            for k in range(1, K):
-                acc = acc + beta3[k] * z[:, arm, k]
-            y[:, arm] = (params.beta0 + params.beta1 * x + params.beta2 * arm
-                         + acc + eps[:, arm])
-        del eps
-        u = uniform_matrix(seed, block, 2 * K, 4 + 2 * K)
-        for arm in (0, 1):
-            alive = np.ones(hi - lo, dtype=bool)
-            for k in range(K):
-                p = expit(params.gamma0 + params.gamma2 * arm
-                          + params.gamma1 * x + params.gamma3[k] * z[:, arm, k])
-                adhere = (u[:, arm * K + k] < p) & alive
-                a_seq[:, arm, k] = adhere
-                alive = adhere
-        del u
-
-    return SubjectData(ids.astype(np.int64), out_x, out_t, out_z, out_y,
-                       out_aseq)
+    """Generate the given subject ids in one pass; any id partition yields
+    identical rows.  Its temporaries grow with ``len(ids)``, so callers
+    pass one block of ``_CHUNK``."""
+    K, n = params.K, ids.shape[0]
+    z, y = np.empty((n, 2, K)), np.empty((n, 2))
+    a_seq = np.empty((n, 2, K), dtype=np.int8)
+    # each stage draws only its own uniforms and frees them before the
+    # next; the normals overwrite their uniforms
+    u = uniform_matrix(seed, ids, 2)
+    x = params.mu_x + params.sigma_x * ndtri(u[:, 0])
+    t = (u[:, 1] < params.p_treat).astype(np.int8)
+    del u
+    eta = uniform_matrix(seed, ids, 2 * K, 2)
+    ndtri(eta, out=eta)
+    eta *= params.sigma_eta
+    for arm in (0, 1):
+        for k in range(K):
+            z[:, arm, k] = (params.alpha0[k] + params.alpha1[k] * x
+                            + params.alpha2[k] * arm + eta[:, arm * K + k])
+    del eta
+    eps = uniform_matrix(seed, ids, 2, 2 + 2 * K)
+    ndtri(eps, out=eps)
+    eps *= params.sigma_eps
+    for arm in (0, 1):
+        acc = params.beta3[0] * z[:, arm, 0]
+        for k in range(1, K):
+            acc = acc + params.beta3[k] * z[:, arm, k]
+        y[:, arm] = (params.beta0 + params.beta1 * x + params.beta2 * arm
+                     + acc + eps[:, arm])
+    del eps
+    u = uniform_matrix(seed, ids, 2 * K, 4 + 2 * K)
+    for arm in (0, 1):
+        alive = np.ones(n, dtype=bool)
+        for k in range(K):
+            p = expit(params.gamma0 + params.gamma2 * arm
+                      + params.gamma1 * x + params.gamma3[k] * z[:, arm, k])
+            adhere = (u[:, arm * K + k] < p) & alive
+            a_seq[:, arm, k] = adhere
+            alive = adhere
+    return SubjectData(ids.astype(np.int64), x, t, z, y, a_seq)
 
 
 def generate(config: ScenarioConfig) -> SubjectData:
-    """Generate the scenario's n subjects with ids 0..n-1."""
-    ids = np.arange(config.n, dtype=np.int64)
-    return generate_block(config.params, config.seed, ids)
+    """Generate the scenario's n subjects with ids 0..n-1: the block map
+    on one thread, each block copied into its id rows of one table and
+    then dropped."""
+    n, K = config.n, config.params.K
+    data = SubjectData(np.arange(n, dtype=np.int64), np.empty(n),
+                       np.empty(n, dtype=np.int8), np.empty((n, 2, K)),
+                       np.empty((n, 2)), np.empty((n, 2, K), dtype=np.int8))
+
+    def put(block: SubjectData) -> None:
+        rows = slice(block.ids[0], block.ids[0] + len(block))
+        for col in ("x", "t", "z", "y", "a_seq"):
+            getattr(data, col)[rows] = getattr(block, col)
+    generate_blocks(config, put)
+    return data
 
 
 def generate_blocks(config: ScenarioConfig,

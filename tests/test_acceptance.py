@@ -17,6 +17,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -222,7 +223,14 @@ def test_c11_demo_reruns_bitwise_and_thread_free(tmp_path):
             "seed": None, "outputs": names}
         for m in (json.loads((out / "manifest.json").read_text())
                   for out in outs))
+    # claim 1's printed selection-bias split adds up to its S_*+ contrast
+    split = re.search(r"MC (\S+) \+/- \S+; MC = ITT (\S+) \+ treated shift "
+                      r"(\S+) - control shift (\S+) \|",
+                      (outs[0] / "report.md").read_text())
+    mc, itt, shift1, shift0 = map(float, split.groups())
+    explained = abs(itt + shift1 - shift0 - mc) <= 2e-4
     _report(11, f"exit codes {codes}; rerun and --threads 8 outputs "
                 f"byte-identical: {identical}; manifests record "
-                f"paper-demo: {recorded}",
-            codes == [0, 0, 0] and identical and recorded)
+                f"paper-demo: {recorded}; claim 1's split {itt} + {shift1} "
+                f"- {shift0} gives MC {mc}: {explained}",
+            codes == [0, 0, 0] and identical and recorded and explained)

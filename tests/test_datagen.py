@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +69,33 @@ def test_chunk_size_is_invisible(monkeypatch):
     rechunked = generate(cfg)
     assert (whole.y == rechunked.y).all()
     assert (whole.a_seq == rechunked.a_seq).all()
+
+
+def test_generate_fills_one_table_block_by_block(monkeypatch):
+    """``generate`` makes its subjects through the block map, one block of
+    at most ``_CHUNK`` ids per call, and holds no block beyond the one
+    being copied: its peak above the table does not grow with n."""
+    sizes, real_block = [], dg.generate_block
+
+    def block(params, seed, ids):
+        sizes.append(len(ids))
+        return real_block(params, seed, ids)
+    with monkeypatch.context() as m:
+        m.setattr(dg, "_CHUNK", 777)
+        m.setattr(dg, "generate_block", block)
+        generate(config(n=3000))
+    assert len(sizes) == math.ceil(3000 / 777) and max(sizes) <= 777
+
+    def above_table(n):
+        tracemalloc.start()
+        try:
+            data = generate(config(n=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(getattr(data, col).nbytes
+                          for col in ("ids", "x", "t", "z", "y", "a_seq"))
+    assert above_table(1 << 19) < 1.01 * above_table(1 << 17)
 
 
 def test_blocks_come_back_in_id_order_on_any_thread_count(monkeypatch):
