@@ -20,16 +20,16 @@ Run:  python3 demos/04_split_calibration.py        (a few seconds)
 
 import dataclasses
 
-from stratabias import (estimate_naive, estimate_plugin, generate,
-                        load_bundled, null_stratum_effect, observe,
-                        split_calibrate)
+from stratabias import (estimate_naive, estimate_plugin, load_bundled,
+                        null_stratum_effect, observe, split_calibrate)
 
 R = 60
 
 
 def trial(name, n=100_000):
     cfg = dataclasses.replace(load_bundled(name), n=n)
-    return observe(generate(cfg), keep_y_after_dropout=True), cfg
+    # the observed trial, projected block by block from the scenario
+    return observe(cfg, keep_y_after_dropout=True), cfg
 
 
 print("--- full null ---------------------------------------------")

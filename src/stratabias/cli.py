@@ -80,12 +80,12 @@ def _oracles(cfg: ScenarioConfig, method: str = "both", threads: int = 1,
                                            _MC_AGREEMENT_SIGMAS)
 
 
-def _calibration(cfg: ScenarioConfig, obs, estimator: str, R: int,
+def _calibration(cfg: ScenarioConfig, control, estimator: str, R: int,
                  threads: int):
-    """(cal, truth): the control arm's split calibration and, on an
-    outcome-null scenario, the closed form and the offset-vs-truth
+    """(cal, truth): the split calibration of the trial's control arm and,
+    on an outcome-null scenario, the closed form and the offset-vs-truth
     ``_gap_check`` as (quad, gap, bound, match)."""
-    cal = split_calibrate(obs.subset(obs.t == 0), estimator=estimator, R=R,
+    cal = split_calibrate(control, estimator=estimator, R=R,
                           seed=cfg.seed, threads=threads)
     if not is_outcome_null(cfg.params):
         return cal, None
@@ -129,13 +129,16 @@ def cmd_true_effect(args, cfg: ScenarioConfig) -> Run:
 
 
 def cmd_calibrate(args, cfg: ScenarioConfig) -> Run:
-    obs = observe(generate(cfg), keep_y_after_dropout=True)
+    obs = observe(cfg, keep_y_after_dropout=True)
     print(f"scenario '{cfg.label}': estimator={args.estimator}, "
           f"R={args.R}, control n={int((obs.t == 0).sum())}")
     # fit.csv's arm-1 fit, before the splits: a singular design
     # (sigma_eta = 0) is reported before any round runs
     fit = fit_sequential_logistic(obs) if args.estimator == "plugin" else None
-    cal, truth = _calibration(cfg, obs, args.estimator, args.R, args.threads)
+    control = obs.subset(obs.t == 0)
+    del obs  # the split rounds read only the control arm
+    cal, truth = _calibration(cfg, control, args.estimator, args.R,
+                              args.threads)
     print(f"mean offset: {cal.mean_offset:.4f} +/- {cal.se_offset:.4f} "
           f"({cal.n_failed} failed splits)")
     if truth is not None:
@@ -169,7 +172,7 @@ def _demo_claims(seed_override, threads):
     # nonzero, a selection bias, while the always-adherent one is zero.
     cfg = load("full_null_demo")
     quad, both, treated, (_, bound, agree) = _oracles(cfg, threads=threads)
-    bias = bias_decomposition(generate(cfg))
+    bias = bias_decomposition(cfg)
     effect_rows = [(cfg.label, S_TREATED.code, treated),
                    (cfg.label, S_BOTH.code, both)]
     claims += [
@@ -194,8 +197,11 @@ def _demo_claims(seed_override, threads):
 
     # 5: control-split calibration misses the truth under a partial null.
     cfg = load("partial_null_gamma2")
-    obs = observe(generate(cfg), keep_y_after_dropout=True)
-    cal, (quad, _, _, match) = _calibration(cfg, obs, "plugin", 200, threads)
+    obs = observe(cfg, keep_y_after_dropout=True)
+    control = obs.subset(obs.t == 0)
+    del obs
+    cal, (quad, _, _, match) = _calibration(cfg, control, "plugin", 200,
+                                            threads)
     claims.append((
         "control-split calibration misses the stratum effect under a "
         "partial null (gamma2 != 0)",

@@ -38,10 +38,12 @@ and the adherence path), 87 B per subject at K = 3.
 
 ``generate_blocks`` is the one loop over the id blocks of ``_CHUNK``: it
 maps a function over them on up to ``threads`` threads, one block in
-flight per thread.  ``generate`` is that map on one thread, each block
-copied into its rows of one table; the Monte Carlo oracle reduces each
-block to exact integer sums, so its memory grows with the threads, not
-with n.
+flight per thread.  ``generate`` and ``observe`` of a scenario are that
+map on one thread, each block copied into its id rows of one table and
+dropped; ``observe`` projects each block first, so it never holds the
+whole trial's potential outcomes.  The Monte Carlo oracle and the
+selection-bias split reduce each block to exact integer sums, so their
+memory grows with the threads, not with n.
 """
 
 from __future__ import annotations
@@ -170,20 +172,23 @@ def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectDa
 
 
 def generate(config: ScenarioConfig) -> SubjectData:
-    """Generate the scenario's n subjects with ids 0..n-1: the block map
-    on one thread, each block copied into its id rows of one table and
-    then dropped."""
+    """Generate the scenario's n subjects with ids 0..n-1 into one table."""
     n, K = config.n, config.params.K
-    data = SubjectData(np.arange(n, dtype=np.int64), np.empty(n),
-                       np.empty(n, dtype=np.int8), np.empty((n, 2, K)),
-                       np.empty((n, 2)), np.empty((n, 2, K), dtype=np.int8))
+    return _fill(config, SubjectData(
+        np.empty(n, np.int64), np.empty(n), np.empty(n, np.int8),
+        np.empty((n, 2, K)), np.empty((n, 2)), np.empty((n, 2, K), np.int8)))
 
+
+def _fill(config: ScenarioConfig, table, project=lambda block: block):
+    """``table`` filled by the block map on one thread: each block passes
+    through ``project`` into its id rows and is dropped."""
     def put(block: SubjectData) -> None:
         rows = slice(block.ids[0], block.ids[0] + len(block))
-        for col in ("x", "t", "z", "y", "a_seq"):
-            getattr(data, col)[rows] = getattr(block, col)
+        part = project(block)
+        for col, values in vars(table).items():
+            values[rows] = getattr(part, col)
     generate_blocks(config, put)
-    return data
+    return table
 
 
 def generate_blocks(config: ScenarioConfig,
@@ -226,30 +231,39 @@ def generate_blocks(config: ScenarioConfig,
     return [out[lo] for lo in starts]
 
 
-def observe(data: SubjectData, keep_y_after_dropout: bool = False) -> ObservedData:
+def observe(source: ScenarioConfig | SubjectData,
+            keep_y_after_dropout: bool = False) -> ObservedData:
     """Project to the assigned-arm view with monotone missingness.
 
     Visit k's intermediate is observed when the subject was still
     adherent after visit k-1 (the visit happens, then adherence right
     after it is decided), so the value at the dropout visit itself is
     seen.  The outcome is observed for adherers, or for everyone when
-    ``keep_y_after_dropout`` is set.
+    ``keep_y_after_dropout`` is set.  A scenario's blocks are projected
+    as they are made: the rows of ``observe(generate(config))``, without
+    that table.
     """
-    n = len(data)
-    K = data.z.shape[2]
-    arm = data.t.astype(np.int64)
+    if isinstance(source, ScenarioConfig):
+        n, K = source.n, source.params.K
+        return _fill(source, ObservedData(
+            np.empty(n, np.int64), np.empty(n), np.empty(n, np.int8),
+            np.empty((n, K)), np.empty(n, np.int8), np.empty(n)),
+            lambda block: observe(block, keep_y_after_dropout))
+    n = len(source)
+    K = source.z.shape[2]
+    arm = source.t.astype(np.int64)
     rows = np.arange(n)
 
-    z_obs = data.z[rows, arm, :]  # a gather: already a new array
-    a_seq_assigned = data.a_seq[rows, arm, :]
+    z_obs = source.z[rows, arm, :]  # a gather: already a new array
+    a_seq_assigned = source.a_seq[rows, arm, :]
     for k in range(1, K):
         z_obs[a_seq_assigned[:, k - 1] == 0, k] = np.nan
 
-    a_obs = data.a[rows, arm]
-    y_obs = data.y[rows, arm]
+    a_obs = source.a[rows, arm]
+    y_obs = source.y[rows, arm]
     if not keep_y_after_dropout:
         y_obs[a_obs == 0] = np.nan
-    return ObservedData(data.ids.copy(), data.x.copy(), data.t.copy(),
+    return ObservedData(source.ids.copy(), source.x.copy(), source.t.copy(),
                         z_obs, a_obs, y_obs)
 
 

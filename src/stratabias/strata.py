@@ -12,12 +12,14 @@ or on how members are grouped - the grouped-mean (tower) identity and
 permutation invariance hold bit-for-bit, and nothing is sorted.
 
 ``oracle_effect`` reads a whole ``SubjectData`` or the per-cell sums of
-``stratum_sums``, on any number of threads, to bitwise the same estimate.
+``stratum_sums``, on any number of threads, to bitwise the same estimate;
+``bias_decomposition`` likewise reads a table or streams a scenario.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -129,15 +131,19 @@ def stratum_sums(source: ScenarioConfig | SubjectData,
     of a table's slices, or of a scenario's id blocks, each reduced and
     dropped on the one of ``threads`` threads that made it."""
     cells = _cells(labels)
-    if isinstance(source, SubjectData):
-        parts = [_block_sums(source.a[lo:lo + _SLICE],
-                             source.y[lo:lo + _SLICE], cells)
-                 for lo in range(0, len(source), _SLICE)]
-    else:
-        parts = generate_blocks(source, lambda block: _block_sums(
-            block.a, block.y, cells), threads)
+    parts = _parts(source, lambda a, y: _block_sums(a, y, cells), threads)
     return {c: tuple(map(sum, zip((0, 0, 0), *(p[c] for p in parts))))
             for c in cells}
+
+
+def _parts(source: ScenarioConfig | SubjectData, reduce: Callable,
+           threads: int = 1) -> list:
+    """``reduce(a, y)`` of a table's slices or of a scenario's id blocks."""
+    if isinstance(source, SubjectData):
+        return [reduce(source.a[lo:lo + _SLICE], source.y[lo:lo + _SLICE])
+                for lo in range(0, len(source), _SLICE)]
+    return generate_blocks(source, lambda block: reduce(block.a, block.y),
+                           threads)
 
 
 def exact_mean(values: np.ndarray) -> float:
@@ -211,21 +217,27 @@ def tower_check(data: SubjectData, label: StratumLabel = S_TREATED,
     return lhs, rhs
 
 
-def bias_decomposition(data: SubjectData) -> BiasReport:
+def _bias_sums(a: np.ndarray, y: np.ndarray) -> tuple:
+    """(S_*+ members, subjects, exact sums of y(1) and y(0) over the
+    members, and over all subjects)."""
+    mask = a[:, 1] == 1
+    return (int(mask.sum()), len(y), _exact(y[mask, 1]), _exact(y[mask, 0]),
+            _exact(y[:, 1]), _exact(y[:, 0]))
+
+
+def bias_decomposition(source: ScenarioConfig | SubjectData) -> BiasReport:
     """Selection shifts of each arm's outcome under treated-adherent conditioning.
 
     The difference of the two shifts equals the treated-adherent stratum
     effect minus the unconditional mean contrast, an arithmetic identity
-    on any dataset.
+    on any dataset.  A scenario is streamed in id blocks of exact sums,
+    so the report is bitwise that of ``generate(config)``.
     """
-    mask, m = _nonempty(data, S_TREATED)
-    return BiasReport(
-        mean_y1_given_a1=exact_mean(data.y[mask, 1]),
-        mean_y0_given_a1=exact_mean(data.y[mask, 0]),
-        mean_y1=exact_mean(data.y[:, 1]),
-        mean_y0=exact_mean(data.y[:, 0]),
-        n_members=m,
-    )
+    m, n, s1, s0, t1, t0 = map(sum, zip(*_parts(source, _bias_sums)))
+    if m == 0:
+        raise EmptyStratumError(f"empty stratum {S_TREATED.code}")
+    return BiasReport(s1 / _ONE / m, s0 / _ONE / m, t1 / _ONE / n,
+                      t0 / _ONE / n, m)
 
 
 def write_effects_csv(rows: list[tuple[str, str, EffectEstimate]],

@@ -306,6 +306,48 @@ def test_true_effect_is_byte_identical_across_threads(tmp_path, monkeypatch,
     assert effects[0] == effects[1] == effects[2]
 
 
+@pytest.fixture
+def blocks_only(monkeypatch):
+    """The rows of every ``SubjectData`` made, with ``generate`` raising:
+    a command that builds no potential-outcome table makes only blocks."""
+    rows = []
+
+    class Recorded(datagen.SubjectData):
+        def __init__(self, ids, *columns):
+            rows.append(len(ids))
+            super().__init__(ids, *columns)
+
+    def refuse(config):
+        raise AssertionError("generate() builds the whole table")
+    monkeypatch.setattr(datagen, "SubjectData", Recorded)
+    for module in (datagen, cli):
+        monkeypatch.setattr(module, "generate", refuse)
+    return rows
+
+
+def test_calibrate_observes_block_by_block(tmp_path, monkeypatch,
+                                           blocks_only):
+    """``calibrate`` projects 8 blocks of at most 777 subjects into the
+    observed table, and its CSVs do not depend on the thread count."""
+    monkeypatch.setattr(datagen, "_CHUNK", 777)
+    scen = scenario_file(tmp_path, n=6_000)
+    outs = [tmp_path / str(threads) for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        assert main(["calibrate", scen, "--R", "20", "--threads",
+                     str(threads), "--out", str(out)]) == 0
+    assert max(blocks_only) == 777 and sum(blocks_only) == 2 * 6_000
+    for name in ("calibration.csv", "fit.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_paper_demo_builds_no_trial_table(tmp_path, blocks_only):
+    assert main(["paper-demo", "--threads", "2",
+                 "--out", str(tmp_path / "r")]) == 0
+    sizes = [load_bundled(name).n
+             for name in stratabias.bundled_scenario_names()]
+    assert max(blocks_only) <= datagen._CHUNK < min(sizes)
+
+
 def test_calibrate_always_keeps_outcomes(tmp_path, capsys):
     """The plug-in's arm-0 outcome line needs non-adherers' outcomes (on
     adherers only its offset collapses toward 0), so ``calibrate`` has no

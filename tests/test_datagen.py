@@ -281,6 +281,39 @@ def test_observe_masks_follow_dropout():
     assert (kept.y == data.y[rows, arm]).all()
 
 
+OBSERVED = ("ids", "x", "t", "z", "a", "y")
+
+
+@pytest.mark.parametrize("n", [3000, 500])  # a ragged last block; one block
+@pytest.mark.parametrize("keep", [True, False])
+def test_observing_a_scenario_is_observing_its_table(monkeypatch, n, keep):
+    cfg = config(n=n)
+    whole = observe(generate(cfg), keep_y_after_dropout=keep)
+    monkeypatch.setattr(dg, "_CHUNK", 777)
+    streamed = observe(cfg, keep_y_after_dropout=keep)
+    for col in OBSERVED:
+        a, b = getattr(whole, col), getattr(streamed, col)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), col
+        assert a.tobytes() == b.tobytes(), col
+
+
+def test_observing_a_scenario_holds_one_block_beyond_its_table():
+    """Its traced peak above the observed table does not grow with n and
+    stays below the potential-outcome table it no longer builds."""
+    def above_table(n):
+        tracemalloc.start()
+        try:
+            obs = observe(config(n=n), keep_y_after_dropout=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(getattr(obs, col).nbytes for col in OBSERVED)
+    n = 1 << 17
+    table = sum(getattr(generate(config(n=n)), col).nbytes
+                for col in ("ids", "x", "t", "z", "y", "a_seq"))
+    assert above_table(1 << 19) < 1.01 * above_table(n) < table
+
+
 def test_observed_record_view():
     data = generate(config(n=50, gamma0=-50.0))
     obs = observe(data)

@@ -275,6 +275,30 @@ def test_streamed_oracle_empty_stratum_raises(monkeypatch):
         _oracles(cfg, "mc")
 
 
+def test_streamed_bias_decomposition_is_bitwise_the_whole_table_one(
+        monkeypatch):
+    """A scenario streamed in blocks of 777 ids, the last one ragged,
+    gives the whole table's ``BiasReport`` bit for bit."""
+    def bits(report):
+        return [v.hex() if isinstance(v, float) else v
+                for v in dataclasses.astuple(report)]
+    cfg = dataclasses.replace(load_bundled("partial_null_gamma2"), n=5_000)
+    whole = bias_decomposition(generate(cfg))
+    monkeypatch.setattr(datagen, "_CHUNK", 777)
+    assert cfg.n % 777 and len(generate_blocks(cfg, len)) == 7
+    assert bits(bias_decomposition(cfg)) == bits(whole)
+
+
+def test_bias_decomposition_empty_stratum_raises(monkeypatch):
+    cfg = load_bundled("full_null_demo")
+    cfg = dataclasses.replace(
+        cfg, n=2_000, params=dataclasses.replace(cfg.params, gamma0=-60.0))
+    monkeypatch.setattr(datagen, "_CHUNK", 777)
+    for source in (cfg, generate(cfg)):
+        with pytest.raises(EmptyStratumError, match="S_\\*\\+"):
+            bias_decomposition(source)
+
+
 def test_oracle_effect_holds_one_contrast_copy():
     """oracle_effect holds less than one copy of the selected contrasts:
     it reduces a whole table slice by slice to exact sums, so its traced

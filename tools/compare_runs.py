@@ -19,22 +19,31 @@ directory.  Per invocation it compares:
   cells, so that a move in the last digits can be told from a real
   change.
 
+Each run's line also reports both checkouts' peak RSS (``ru_maxrss``
+from ``os.wait4``), so that a memory move shows without the benchmark;
+it is reported, not compared.  A child that ``subprocess`` starts by
+``vfork`` begins with this process's peak RSS as its own ``ru_maxrss``,
+so this process reads no output whole: reading one whole
+``subjects.csv`` raised every later child's reading to about 75 MB.
+
 The list covers every bundled scenario through ``simulate`` and through
 ``true-effect`` with each ``--method``, ``true-effect --method
 quadrature`` off the outcome null (``beta2 = 0.3``), ``calibrate`` with
-both estimators, ``calibrate full_null_demo --seed 5`` (the plug-in at
-the default R, whose offset misses the truth by more than 5 SE: its
-``MISMATCH`` line shows whether that gap moved), ``calibrate
-sigma_eta_zero`` with the naive estimator (which fits no visit model),
-three runs that fail after their scenario
-loads, one that ``calibrate`` rejects as a usage error (``--no-keep-y``:
-it always keeps outcomes), ``true-effect full_null_demo --method mc``
-at ``--threads 1`` and ``2`` (the streamed oracle on one thread and on
-two; a checkout whose ``true-effect`` has no ``--threads`` exits 2 on
-both), and ``paper-demo`` with and without ``--seed``.  Outputs are
-deleted once compared.  It takes a few minutes on two cores and is not
-part of the test suite.  Exit status: 0 when
-every run matches, 1 otherwise.
+both estimators, the plug-in at ``--threads 1`` and ``2`` (the split
+rounds on one thread and on two), ``calibrate full_null_demo --seed 5``
+(the plug-in at the default R, whose offset misses the truth by more
+than 5 SE: its ``MISMATCH`` line shows whether that gap moved),
+``calibrate sigma_eta_zero`` with the naive estimator (which fits no
+visit model), three runs that fail after their scenario loads, one that
+``calibrate`` rejects as a usage error (``--no-keep-y``: it always keeps
+outcomes), ``true-effect full_null_demo --method mc`` at ``--threads 1``
+and ``2`` (the streamed oracle on one thread and on two; a checkout
+whose ``true-effect`` has no ``--threads`` exits 2 on both), and
+``paper-demo`` with and without ``--seed``.
+
+Outputs are deleted once compared. It takes a few minutes on two cores
+and is not part of the test suite. Exit status: 0 when every run
+matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -69,6 +78,9 @@ def invocations(scenarios: list[str], work: Path) -> list[tuple[str, list]]:
     runs += [
         ("calibrate plugin", ["calibrate", "{partial_null_gamma2}",
                               "--estimator", "plugin", "--threads", "2"]),
+        ("calibrate plugin --threads 1",
+         ["calibrate", "{partial_null_gamma2}", "--estimator", "plugin",
+          "--threads", "1"]),
         ("calibrate naive", ["calibrate", "{full_null_demo}",
                              "--estimator", "naive", "--threads", "2"]),
         ("calibrate full_null_demo --seed 5",
@@ -105,14 +117,19 @@ def _scenario_dir(root: Path) -> Path:
 
 
 def _digest(path: Path) -> str:
+    """SHA-256 of an output file, read in blocks to keep this process's
+    peak RSS below its children's (see the module docstring)."""
+    h = hashlib.sha256()
     if path.name == "manifest.json":
         manifest = json.loads(path.read_text())
         for key in VOLATILE:
             manifest.pop(key, None)
-        data = json.dumps(manifest, sort_keys=True).encode()
-    else:
-        data = path.read_bytes()
-    return hashlib.sha256(data).hexdigest()
+        h.update(json.dumps(manifest, sort_keys=True).encode())
+        return h.hexdigest()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
 
 
 def run_one(root: Path, args: list, work: Path, out: Path) -> dict:
@@ -120,9 +137,16 @@ def run_one(root: Path, args: list, work: Path, out: Path) -> dict:
     bundled = {p.stem: str(p) for p in _scenario_dir(root).glob("*.json")}
     argv = [a.format_map(bundled) for a in args]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    got = subprocess.run(
-        [sys.executable, "-m", "stratabias.cli", *argv, "--out", str(out)],
-        cwd=work, env=env, capture_output=True, text=True)
+    with tempfile.TemporaryFile("w+") as so, \
+            tempfile.TemporaryFile("w+") as se:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stratabias.cli", *argv, "--out",
+             str(out)], cwd=work, env=env, stdout=so, stderr=se)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        so.seek(0)
+        se.seek(0)
+        stdout, stderr = so.read(), se.read()
 
     def normal(text: str) -> str:
         for path, mark in ((out, "<OUT>"), (work, "<WORK>"),
@@ -130,9 +154,9 @@ def run_one(root: Path, args: list, work: Path, out: Path) -> dict:
             text = text.replace(str(path), mark)
         return text
 
-    record = {"exit code": got.returncode, "stdout": normal(got.stdout),
-              "stderr": normal(got.stderr), "out exists": out.exists(),
-              "out": out}
+    record = {"exit code": proc.returncode, "stdout": normal(stdout),
+              "stderr": normal(stderr), "out exists": out.exists(),
+              "out": out, "peak RSS MB": usage.ru_maxrss / 1024}
     if out.exists():
         record["outputs"] = {p.name: _digest(p) for p in sorted(out.iterdir())}
     return record
@@ -221,7 +245,9 @@ def main(argv=None) -> int:
                     shutil.rmtree(record["out"])
             n_diff += bool(diff)
             codes = "/".join(str(r["exit code"]) for r in records)
-            print(f"{'DIFF' if diff else 'same'}  {run_id} (exit {codes})")
+            peaks = "/".join(f"{r['peak RSS MB']:.1f}" for r in records)
+            print(f"{'DIFF' if diff else 'same'}  {run_id} (exit {codes}, "
+                  f"peak RSS {peaks} MB)")
             for line in diff:
                 print(f"      {line}")
             sys.stdout.flush()

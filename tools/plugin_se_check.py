@@ -38,7 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from stratabias.calibration import (EstimatorError, FitError,  # noqa: E402
                                     _plugin_point, estimate_plugin,
                                     fit_sequential_logistic)
-from stratabias.datagen import generate, observe  # noqa: E402
+from stratabias.datagen import observe  # noqa: E402
 from stratabias.params import load_bundled  # noqa: E402
 
 SCENARIOS = ("full_null_demo", "partial_null_gamma2")
@@ -53,7 +53,7 @@ SPREAD_BOUNDS = (0.8, 1.25)
 
 def _observed(name: str, seed: int):
     cfg = dataclasses.replace(load_bundled(name), n=N, seed=seed)
-    return observe(generate(cfg), keep_y_after_dropout=True)
+    return observe(cfg, keep_y_after_dropout=True)
 
 
 def bootstrap_se(obs, seed: int) -> tuple[float, int]:
