@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .datagen import ObservedData, write_table
 from .quadrature import gauss_hermite_normal, visit_product
@@ -120,6 +119,8 @@ def _irls(x: np.ndarray, z: np.ndarray, r: np.ndarray, what: str,
     stalls in the endgame, where full Newton steps still shrink the
     gradient but move the log-likelihood by under an ulp.
     """
+    # imported here, not at module level, so import stratabias loads no scipy
+    from scipy.special import expit
     beta = np.zeros(3) if start is None else np.array(start, dtype=float)
     eta = beta[0] + beta[1] * x + beta[2] * z  # +0.0 throughout at beta = 0
     ll = _loglik(eta, r)
@@ -325,6 +326,7 @@ def estimate_plugin(observed: ObservedData) -> EffectEstimate:
     sqrt(sum psi_i^2)/n, psi_i subject i's influence: term1's and xbar's
     ratio terms, and each fit's influence times term2's gradient in it.
     """
+    from scipy.special import expit  # here for the reason given in _irls
     term1, a0, b0, xbar, pi, params = _plugin_fit(observed)
     x, y = observed.x, observed.y
     rows1, rows0 = _adherers(observed, 1), _outcome_rows(observed)
@@ -382,6 +384,15 @@ def _split_start(canon: ObservedData) -> LogisticFit:
     return fit_sequential_logistic(canon.relabeled(t_start))
 
 
+def check_rounds(R: int, threads: int) -> None:
+    """Refuse the ``split_calibrate`` settings that need no data to refuse:
+    R < 2 rounds or threads < 1."""
+    if R < 2:
+        raise ValueError(f"R must be >= 2, got {R}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def split_calibrate(observed_control: ObservedData,
                     estimator: str = "plugin",
                     R: int = 200, seed: int = 0,
@@ -407,10 +418,7 @@ def split_calibrate(observed_control: ObservedData,
     n = len(observed_control)
     if n < 4:
         raise ValueError(f"need at least 4 control subjects, got {n}")
-    if R < 2:
-        raise ValueError(f"R must be >= 2, got {R}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_rounds(R, threads)
 
     ids = observed_control.ids
     canon = (observed_control if np.all(ids[1:] > ids[:-1])

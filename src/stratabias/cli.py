@@ -28,15 +28,16 @@ from pathlib import Path
 
 from . import __version__
 from .calibration import (ESTIMATORS, CalibrationError, EstimatorError,
-                          FitError, fit_sequential_logistic, split_calibrate,
-                          write_calibration_csv, write_fit_csv)
+                          FitError, check_rounds, fit_sequential_logistic,
+                          split_calibrate, write_calibration_csv,
+                          write_fit_csv)
 from .datagen import (generate, observe, write_observed_csv,
                       write_subjects_csv)
 from .params import (ScenarioConfig, is_outcome_null, load_bundled,
                      load_scenario)
 from .quadrature import RefinementError, null_stratum_effect
-from .strata import (S_BOTH, S_TREATED, EffectEstimate, bias_decomposition,
-                     oracle_effect, stratum_sums, write_effects_csv)
+from .strata import (S_BOTH, S_TREATED, EffectEstimate, oracle_effect,
+                     stratum_sums, write_effects_csv)
 
 Run = tuple[dict, int]  # a subcommand's ({file name: writer}, failed claims)
 
@@ -61,23 +62,26 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _oracles(cfg: ScenarioConfig, method: str = "both", threads: int = 1,
-             nodes: int = 64):
+             nodes: int = 64, bias: bool = False):
     """(quad, both, treated, agreement): the closed form, the S_++ and S_*+
     Monte Carlo effects and their ``_gap_check``, None where ``method``
     skips one.  The closed form runs before any subject is drawn, and
     ``quadrature`` draws none; the subjects are streamed in id blocks on
-    ``threads`` threads, keeping only their cells' exact sums."""
+    ``threads`` threads, keeping only their cells' exact sums.  With
+    ``bias``, that pass also gives the ``bias_decomposition``, as a fifth
+    item."""
     quad = (null_stratum_effect(cfg.params, nodes=nodes)
             if method != "mc" else None)
     if method == "quadrature":
         return quad, None, None, None
-    sums = stratum_sums(cfg, (S_BOTH, S_TREATED), threads)
+    sums = stratum_sums(cfg, (S_BOTH, S_TREATED), threads, bias)
+    sums, report = sums if bias else (sums, None)
     both = oracle_effect(sums, S_BOTH)
     treated = oracle_effect(sums, S_TREATED)
-    if quad is None:
-        return quad, both, treated, None
-    return quad, both, treated, _gap_check(quad, treated.value, treated.se,
-                                           _MC_AGREEMENT_SIGMAS)
+    agreement = (None if quad is None else
+                 _gap_check(quad, treated.value, treated.se,
+                            _MC_AGREEMENT_SIGMAS))
+    return (quad, both, treated, agreement) + ((report,) if bias else ())
 
 
 def _calibration(cfg: ScenarioConfig, control, estimator: str, R: int,
@@ -129,6 +133,7 @@ def cmd_true_effect(args, cfg: ScenarioConfig) -> Run:
 
 
 def cmd_calibrate(args, cfg: ScenarioConfig) -> Run:
+    check_rounds(args.R, args.threads)  # before any subject is drawn
     obs = observe(cfg, keep_y_after_dropout=True)
     print(f"scenario '{cfg.label}': estimator={args.estimator}, "
           f"R={args.R}, control n={int((obs.t == 0).sum())}")
@@ -171,8 +176,8 @@ def _demo_claims(seed_override, threads):
     # 1-2: under a full null the treated-adherent stratum effect is
     # nonzero, a selection bias, while the always-adherent one is zero.
     cfg = load("full_null_demo")
-    quad, both, treated, (_, bound, agree) = _oracles(cfg, threads=threads)
-    bias = bias_decomposition(cfg)
+    quad, both, treated, (_, bound, agree), bias = _oracles(
+        cfg, threads=threads, bias=True)
     effect_rows = [(cfg.label, S_TREATED.code, treated),
                    (cfg.label, S_BOTH.code, both)]
     claims += [

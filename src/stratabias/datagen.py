@@ -55,7 +55,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .params import ModelParams, ScenarioConfig
 from .rng import uniform_matrix
@@ -132,6 +131,8 @@ def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectDa
     """Generate the given subject ids in one pass; any id partition yields
     identical rows.  Its temporaries grow with ``len(ids)``, so callers
     pass one block of ``_CHUNK``."""
+    # imported here, not at module level, so import stratabias loads no scipy
+    from scipy.special import expit, ndtri
     K, n = params.K, ids.shape[0]
     z, y = np.empty((n, 2, K)), np.empty((n, 2))
     a_seq = np.empty((n, 2, K), dtype=np.int8)

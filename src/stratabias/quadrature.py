@@ -40,7 +40,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from .params import ModelParams
 
@@ -118,20 +117,29 @@ def visit_product(model, x: np.ndarray, xi: np.ndarray, w: np.ndarray,
     # N_k * prod_{k' != k} D_k', both over the visits so far
     den = np.ones(x.size)
     num = np.zeros(x.size)
+    # one grid array for all visits, filled in place: a fresh 128 KiB
+    # grid per visit and its product with xi made glibc trim and re-fault
+    # the heap top, about 50 page faults per null_stratum_effect call,
+    # unless an import had raised malloc's trim threshold (scipy's does)
+    p = np.empty((x.size, xi.size))
     for k, (g0, g1, g3, az, bz, sz) in enumerate(model):
         a = (g0 + g3 * az) + (g1 + g3 * bz) * x
         b = (g3 * sz) * xi
         if np.abs(a).max() <= _EXP_MAX and np.abs(b).max() <= _EXP_MAX:
             with np.errstate(over="ignore"):
-                p = np.multiply.outer(np.exp(-a), np.exp(-b))
+                np.multiply(np.exp(-a)[:, None], np.exp(-b), out=p)
             p += 1.0
-            p = np.divide(w, p, out=p)
+            np.divide(w, p, out=p)
         else:
-            p = expit(a[:, None] + b)
+            # imported here, not at module level, so import stratabias
+            # and the factored path load no scipy
+            from scipy.special import expit
+            expit(np.add(a[:, None], b, out=p), out=p)
             p *= w
         d = p.sum(axis=1)
         if beta3 is not None:
-            num = num * d + beta3[k] * (p * xi).sum(axis=1) * den
+            p *= xi
+            num = num * d + beta3[k] * p.sum(axis=1) * den
         den *= d
     return den if beta3 is None else (den, num)
 

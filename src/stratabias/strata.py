@@ -13,7 +13,8 @@ permutation invariance hold bit-for-bit, and nothing is sorted.
 
 ``oracle_effect`` reads a whole ``SubjectData`` or the per-cell sums of
 ``stratum_sums``, on any number of threads, to bitwise the same estimate;
-``bias_decomposition`` likewise reads a table or streams a scenario.
+``bias_decomposition`` likewise reads a table or streams a scenario,
+alone or in the same pass as ``stratum_sums``.
 """
 
 from __future__ import annotations
@@ -125,15 +126,21 @@ def _block_sums(a: np.ndarray, y: np.ndarray,
 
 
 def stratum_sums(source: ScenarioConfig | SubjectData,
-                 labels: tuple[StratumLabel, ...], threads: int = 1) -> dict:
+                 labels: tuple[StratumLabel, ...], threads: int = 1,
+                 bias: bool = False):
     """{(a(0), a(1)): (members, sum of d, sum of d^2)} over the cells
     ``labels`` cover, each sum exact as an integer in units of 2^-1126:
     of a table's slices, or of a scenario's id blocks, each reduced and
-    dropped on the one of ``threads`` threads that made it."""
+    dropped on the one of ``threads`` threads that made it.  With
+    ``bias``, (those sums, the ``bias_decomposition``) from the same
+    pass, so a scenario is generated once for both."""
     cells = _cells(labels)
-    parts = _parts(source, lambda a, y: _block_sums(a, y, cells), threads)
-    return {c: tuple(map(sum, zip((0, 0, 0), *(p[c] for p in parts))))
+    parts = _parts(source, lambda a, y: (_block_sums(a, y, cells),
+                                         _bias_sums(a, y) if bias else None),
+                   threads)
+    sums = {c: tuple(map(sum, zip((0, 0, 0), *(p[c] for p, _ in parts))))
             for c in cells}
+    return (sums, _bias_report([b for _, b in parts])) if bias else sums
 
 
 def _parts(source: ScenarioConfig | SubjectData, reduce: Callable,
@@ -233,7 +240,12 @@ def bias_decomposition(source: ScenarioConfig | SubjectData) -> BiasReport:
     on any dataset.  A scenario is streamed in id blocks of exact sums,
     so the report is bitwise that of ``generate(config)``.
     """
-    m, n, s1, s0, t1, t0 = map(sum, zip(*_parts(source, _bias_sums)))
+    return _bias_report(_parts(source, _bias_sums))
+
+
+def _bias_report(parts: list) -> BiasReport:
+    """The ``BiasReport`` of the blocks' ``_bias_sums``."""
+    m, n, s1, s0, t1, t0 = map(sum, zip(*parts))
     if m == 0:
         raise EmptyStratumError(f"empty stratum {S_TREATED.code}")
     return BiasReport(s1 / _ONE / m, s0 / _ONE / m, t1 / _ONE / n,

@@ -341,11 +341,84 @@ def test_calibrate_observes_block_by_block(tmp_path, monkeypatch,
 
 
 def test_paper_demo_builds_no_trial_table(tmp_path, blocks_only):
+    """Each scenario the demo draws is generated once, in blocks: claim 1
+    takes the oracle's and the bias decomposition's sums in one pass."""
     assert main(["paper-demo", "--threads", "2",
                  "--out", str(tmp_path / "r")]) == 0
     sizes = [load_bundled(name).n
              for name in stratabias.bundled_scenario_names()]
     assert max(blocks_only) <= datagen._CHUNK < min(sizes)
+    drawn = ("full_null_demo", "zero_beta3", "zero_gamma3",
+             "partial_null_gamma2")
+    assert sum(blocks_only) == sum(load_bundled(name).n for name in drawn)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--R", "1"], "R must be >= 2, got 1"),
+    (["--threads", "0"], "threads must be >= 1, got 0")])
+def test_calibrate_refuses_bad_rounds_before_drawing(tmp_path, capsys,
+                                                      monkeypatch, args,
+                                                      message):
+    def refuse(*a, **k):
+        raise AssertionError("observe ran before the arguments were checked")
+    monkeypatch.setattr(cli, "observe", refuse)
+    out = tmp_path / "r"
+    assert main(["calibrate", scenario_file(tmp_path), *args,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# (code, whether it loads scipy) run in a fresh interpreter
+_SCENARIOS = Path(stratabias.__file__).parent / "scenarios"
+_SCIPY_FREE = {
+    "import": ("import stratabias", False),
+    "closed form": (
+        "from stratabias import (bundled_scenario_names, load_bundled,\n"
+        "                        null_stratum_effect)\n"
+        "for name in bundled_scenario_names():\n"
+        "    null_stratum_effect(load_bundled(name).params)", False),
+    "true-effect quadrature": (
+        "from stratabias import bundled_scenario_names, cli\n"
+        "for name in bundled_scenario_names():\n"
+        f"    path = r'{_SCENARIOS}/' + name + '.json'\n"
+        "    assert cli.main(['true-effect', path, '--method', 'quadrature',\n"
+        "                     '--out', 'out_' + name]) == 0", False),
+    "argparse exits": (
+        "from stratabias import cli\n"
+        "for argv in (['--version'], ['--help'], ['calibrate']):\n"
+        "    try:\n"
+        "        cli.main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass", False),
+    "calibrate refusal": (
+        "from stratabias import cli\n"
+        f"assert cli.main(['calibrate', r'{_SCENARIOS}/full_null_demo.json',\n"
+        "                 '--R', '1']) == 2", False),
+    "one block drawn": (
+        "import numpy as np\n"
+        "from stratabias import generate_block, load_bundled\n"
+        "generate_block(load_bundled('full_null_demo').params, 1,\n"
+        "               np.arange(4))", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCIPY_FREE))
+def test_scipy_is_loaded_only_to_draw_or_fit(tmp_path, case):
+    """The closed form and the CLI's startup run on numpy alone; drawing a
+    block loads ``scipy.special``, which shows that the check can fail.
+    The test process has scipy loaded, so the code runs in a fresh one."""
+    code, loads = _SCIPY_FREE[case]
+    script = code + ("\nimport sys\n"
+                     "print('scipy' in sys.modules,"
+                     " 'scipy.special' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=module_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{loads} {loads}"
 
 
 def test_calibrate_always_keeps_outcomes(tmp_path, capsys):

@@ -20,8 +20,9 @@ directory.  Per invocation it compares:
   change.
 
 Each run's line also reports both checkouts' peak RSS (``ru_maxrss``
-from ``os.wait4``), so that a memory move shows without the benchmark;
-it is reported, not compared.  A child that ``subprocess`` starts by
+from ``os.wait4``) and wall time, from start to exit, so that a memory
+or startup move shows without the benchmark; both are reported, not
+compared.  A child that ``subprocess`` starts by
 ``vfork`` begins with this process's peak RSS as its own ``ru_maxrss``,
 so this process reads no output whole: reading one whole
 ``subjects.csv`` raised every later child's reading to about 75 MB.
@@ -59,6 +60,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 METHODS = ("quadrature", "mc", "both")
@@ -139,10 +141,12 @@ def run_one(root: Path, args: list, work: Path, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryFile("w+") as so, \
             tempfile.TemporaryFile("w+") as se:
+        start = time.monotonic()
         proc = subprocess.Popen(
             [sys.executable, "-m", "stratabias.cli", *argv, "--out",
              str(out)], cwd=work, env=env, stdout=so, stderr=se)
         _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.monotonic() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
         so.seek(0)
         se.seek(0)
@@ -156,7 +160,8 @@ def run_one(root: Path, args: list, work: Path, out: Path) -> dict:
 
     record = {"exit code": proc.returncode, "stdout": normal(stdout),
               "stderr": normal(stderr), "out exists": out.exists(),
-              "out": out, "peak RSS MB": usage.ru_maxrss / 1024}
+              "out": out, "peak RSS MB": usage.ru_maxrss / 1024,
+              "wall s": wall}
     if out.exists():
         record["outputs"] = {p.name: _digest(p) for p in sorted(out.iterdir())}
     return record
@@ -246,8 +251,9 @@ def main(argv=None) -> int:
             n_diff += bool(diff)
             codes = "/".join(str(r["exit code"]) for r in records)
             peaks = "/".join(f"{r['peak RSS MB']:.1f}" for r in records)
+            walls = "/".join(f"{r['wall s']:.2f}" for r in records)
             print(f"{'DIFF' if diff else 'same'}  {run_id} (exit {codes}, "
-                  f"peak RSS {peaks} MB)")
+                  f"peak RSS {peaks} MB, wall {walls} s)")
             for line in diff:
                 print(f"      {line}")
             sys.stdout.flush()
