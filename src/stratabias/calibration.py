@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .datagen import ObservedData, write_table
+from .datagen import ObservedData, thread_map, write_table
 from .quadrature import gauss_hermite_normal, visit_product
 from .strata import EffectEstimate, exact_mean
 
@@ -384,13 +383,11 @@ def _split_start(canon: ObservedData) -> LogisticFit:
     return fit_sequential_logistic(canon.relabeled(t_start))
 
 
-def check_rounds(R: int, threads: int) -> None:
-    """Refuse the ``split_calibrate`` settings that need no data to refuse:
-    R < 2 rounds or threads < 1."""
+def check_rounds(R: int) -> None:
+    """Refuse a ``split_calibrate`` round count that needs no data to
+    refuse: R < 2.  ``thread_map`` refuses threads < 1."""
     if R < 2:
         raise ValueError(f"R must be >= 2, got {R}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 def split_calibrate(observed_control: ObservedData,
@@ -405,7 +402,7 @@ def split_calibrate(observed_control: ObservedData,
     control), and runs the ``ESTIMATORS`` entry ``estimator`` on the
     pseudo-trial.  Round i's one random draw is its split, from the RNG
     stream [seed, i], so offsets do not depend on the ``threads`` (>= 1)
-    workers.  Failed rounds are skipped; over 10% raises CalibrationError.
+    of ``thread_map``.  Over 10% failed rounds raise CalibrationError.
     "plugin" rounds start from ``_split_start``; its FitError propagates
     before any round runs, as each round fits the same design on a half.
     """
@@ -418,7 +415,7 @@ def split_calibrate(observed_control: ObservedData,
     n = len(observed_control)
     if n < 4:
         raise ValueError(f"need at least 4 control subjects, got {n}")
-    check_rounds(R, threads)
+    check_rounds(R)
 
     ids = observed_control.ids
     canon = (observed_control if np.all(ids[1:] > ids[:-1])
@@ -435,8 +432,7 @@ def split_calibrate(observed_control: ObservedData,
         except (FitError, EstimatorError) as exc:
             return None, f"replicate {i}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one, range(R)))
+    results = thread_map(one, R, threads)
     failures = [msg for _, msg in results if msg is not None]
     if len(failures) * 10 > R:
         raise CalibrationError(f"{len(failures)} of R={R} replicates failed "

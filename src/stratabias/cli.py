@@ -133,7 +133,7 @@ def cmd_true_effect(args, cfg: ScenarioConfig) -> Run:
 
 
 def cmd_calibrate(args, cfg: ScenarioConfig) -> Run:
-    check_rounds(args.R, args.threads)  # before any subject is drawn
+    check_rounds(args.R)  # before any subject is drawn
     obs = observe(cfg, keep_y_after_dropout=True)
     print(f"scenario '{cfg.label}': estimator={args.estimator}, "
           f"R={args.R}, control n={int((obs.t == 0).sum())}")
@@ -305,6 +305,8 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         cfg = _load_config(args) if "scenario" in args else None
+        if getattr(args, "threads", 1) < 1:  # before any subcommand's work
+            raise ValueError(f"threads must be >= 1, got {args.threads}")
         outputs, n_failed = args.func(args, cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

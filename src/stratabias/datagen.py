@@ -36,14 +36,14 @@ freed before the next, and the noises are not kept: ``SubjectData``
 stores only what the oracles, estimators and writers read (x, t, z, y
 and the adherence path), 87 B per subject at K = 3.
 
-``generate_blocks`` is the one loop over the id blocks of ``_CHUNK``: it
-maps a function over them on up to ``threads`` threads, one block in
-flight per thread.  ``generate`` and ``observe`` of a scenario are that
-map on one thread, each block copied into its id rows of one table and
-dropped; ``observe`` projects each block first, so it never holds the
-whole trial's potential outcomes.  The Monte Carlo oracle and the
-selection-bias split reduce each block to exact integer sums, so their
-memory grows with the threads, not with n.
+``thread_map`` is the one parallel loop, one item in flight per thread:
+``generate_blocks`` maps over the id blocks of ``_CHUNK`` on it, and
+``calibration`` over its split rounds.  ``generate`` and ``observe`` of
+a scenario are the block map on one thread, each block copied into its
+id rows of one table and dropped; ``observe`` projects each block
+first, so it never holds the whole trial's potential outcomes.  The
+Monte Carlo oracle and the selection-bias split reduce each block to
+exact integer sums, so their memory grows with the threads, not with n.
 """
 
 from __future__ import annotations
@@ -196,15 +196,22 @@ def generate_blocks(config: ScenarioConfig,
                     reduce: Callable[[SubjectData], object],
                     threads: int = 1) -> list:
     """``reduce`` of each of the scenario's id blocks of ``_CHUNK``, in id
-    order.  The calling thread and up to ``threads - 1`` pool workers, no
-    more than there are blocks, pull blocks from one shared list; each
-    block is reduced and dropped where it was made, so at most ``threads``
-    are in flight.  After an error the other threads stop pulling."""
+    order, by ``thread_map``: each is reduced and dropped where it was made."""
+    def one(i: int):
+        ids = np.arange(i * _CHUNK, min((i + 1) * _CHUNK, config.n),
+                        dtype=np.int64)
+        return reduce(generate_block(config.params, config.seed, ids))
+    return thread_map(one, -(-config.n // _CHUNK), threads)
+
+
+def thread_map(fn: Callable[[int], object], n: int, threads: int) -> list:
+    """``[fn(i) for i in range(n)]`` on the calling thread and up to
+    ``threads - 1`` pool workers, no more than ``n``, which pull indices
+    from one shared list: at most ``threads`` items are in flight, and
+    after an error the other threads stop pulling."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    params, seed, n = config.params, config.seed, config.n
-    starts = range(0, n, _CHUNK)
-    todo, out, lock = list(reversed(starts)), {}, threading.Lock()
+    todo, out, lock = list(range(n))[::-1], [None] * n, threading.Lock()
 
     def work() -> None:
         try:
@@ -212,15 +219,14 @@ def generate_blocks(config: ScenarioConfig,
                 with lock:
                     if not todo:
                         return
-                    lo = todo.pop()
-                ids = np.arange(lo, min(lo + _CHUNK, n), dtype=np.int64)
-                out[lo] = reduce(generate_block(params, seed, ids))
+                    i = todo.pop()
+                out[i] = fn(i)
         except BaseException:
             with lock:
                 todo.clear()
             raise
 
-    workers = min(threads, len(starts)) - 1
+    workers = min(threads, n) - 1
     if workers < 1:
         work()
     else:
@@ -229,7 +235,7 @@ def generate_blocks(config: ScenarioConfig,
             work()
             for helper in helpers:
                 helper.result()
-    return [out[lo] for lo in starts]
+    return out
 
 
 def observe(source: ScenarioConfig | SubjectData,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
-from stratabias import calibration
+from stratabias import calibration, datagen
 from stratabias.calibration import (ESTIMATORS, CalibrationError,
                                     EstimatorError, FitError,
                                     SeparationError, estimate_naive,
@@ -442,8 +442,10 @@ def test_split_is_deterministic_order_free_and_thread_free():
     assert split_calibrate(shuffled, "naive", R=10, seed=5).offsets \
         == base.offsets
 
-    threaded = split_calibrate(ctrl, "naive", R=10, seed=5, threads=4)
-    assert threaded.offsets == base.offsets
+    for threads in (4, 8):
+        threaded = split_calibrate(ctrl, "naive", R=10, seed=5,
+                                   threads=threads)
+        assert threaded.offsets == base.offsets
 
     assert base.mean_offset == exact_mean(np.asarray(base.offsets))
     assert base.se_offset == pytest.approx(
@@ -561,6 +563,48 @@ def test_split_failure_accounting(monkeypatch):
     monkeypatch.setitem(ESTIMATORS, "broken", broken)
     with pytest.raises(CalibrationError, match="limit 10%"):
         split_calibrate(ctrl, "broken", R=10, seed=1)
+
+
+def test_split_rounds_run_on_the_block_map_loop(monkeypatch):
+    """The rounds run on ``datagen.thread_map``: threads=1 starts no pool,
+    and a pool never gets more workers than there are rounds beside the
+    calling thread."""
+    ctrl = control_arm(4_000, seed=47)
+    pools = []
+    real_pool = datagen.ThreadPoolExecutor
+
+    def pool(workers):
+        pools.append(workers)
+        return real_pool(workers)
+    monkeypatch.setattr(datagen, "ThreadPoolExecutor", pool)
+    base = split_calibrate(ctrl, "naive", R=3, seed=2, threads=1)
+    assert pools == []
+    assert split_calibrate(ctrl, "naive", R=3, seed=2,
+                           threads=8).offsets == base.offsets
+    assert pools == [2]
+
+
+def test_an_untyped_round_error_stops_the_rounds(monkeypatch):
+    """An error that is not a FitError or EstimatorError propagates from
+    round 20 of 200, and the other threads stop taking rounds."""
+    ctrl = control_arm(4_000, seed=48)
+    n = len(ctrl)
+    t20 = np.zeros(n, dtype=np.int8)
+    t20[np.random.default_rng([1, 20]).permutation(n)[:n // 2]] = 1
+    ran = []
+
+    def breaks_at_20(obs):
+        ran.append(1)
+        if np.array_equal(obs.t, t20):
+            raise KeyError("round 20")
+        return ESTIMATORS["naive"](obs)
+
+    monkeypatch.setitem(ESTIMATORS, "breaks", breaks_at_20)
+    for threads in (1, 3):
+        ran.clear()
+        with pytest.raises(KeyError, match="round 20"):
+            split_calibrate(ctrl, "breaks", R=200, seed=1, threads=threads)
+        assert len(ran) < 180
 
 
 def test_split_input_validation():

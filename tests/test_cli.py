@@ -371,6 +371,28 @@ def test_calibrate_refuses_bad_rounds_before_drawing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["true-effect", "{scen}", "--method", "quadrature"],
+    ["true-effect", "{scen}", "--method", "both"],
+    ["calibrate", "{scen}"],
+    ["paper-demo"]])
+def test_zero_threads_are_refused_before_any_work(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    """Every subcommand with ``--threads`` refuses 0 before it evaluates
+    a closed form or draws a subject, and leaves no output directory."""
+    def refuse(*a, **k):
+        raise AssertionError("work ran before the thread count was checked")
+    monkeypatch.setattr(cli, "null_stratum_effect", refuse)
+    monkeypatch.setattr(cli, "observe", refuse)
+    scen, out = scenario_file(tmp_path), tmp_path / "r"
+    assert main([a.format(scen=scen) for a in argv]
+                + ["--threads", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: threads must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 # (code, whether it loads scipy) run in a fresh interpreter
 _SCENARIOS = Path(stratabias.__file__).parent / "scenarios"
 _SCIPY_FREE = {

@@ -39,8 +39,12 @@ visit model), three runs that fail after their scenario loads, one that
 ``calibrate`` rejects as a usage error (``--no-keep-y``: it always keeps
 outcomes), ``true-effect full_null_demo --method mc`` at ``--threads 1``
 and ``2`` (the streamed oracle on one thread and on two; a checkout
-whose ``true-effect`` has no ``--threads`` exits 2 on both), and
-``paper-demo`` with and without ``--seed``.
+whose ``true-effect`` has no ``--threads`` exits 2 on both),
+``paper-demo`` with and without ``--seed``, and ``true-effect --method
+quadrature`` and ``paper-demo`` at ``--threads 0`` (a checkout that
+checks the thread count only where threads start exits 0 on the first,
+having written the closed form, and 2 on the second only after the
+closed form ran).
 
 Outputs are deleted once compared. It takes a few minutes on two cores
 and is not part of the test suite. Exit status: 0 when every run
@@ -110,6 +114,10 @@ def invocations(scenarios: list[str], work: Path) -> list[tuple[str, list]]:
         ("paper-demo", ["paper-demo", "--threads", "2"]),
         ("paper-demo --seed 11",
          ["paper-demo", "--threads", "2", "--seed", "11"]),
+        ("fails: true-effect --method quadrature --threads 0",
+         ["true-effect", "{full_null_demo}", "--method", "quadrature",
+          "--threads", "0"]),
+        ("fails: paper-demo --threads 0", ["paper-demo", "--threads", "0"]),
     ]
     return runs
 
