@@ -36,8 +36,8 @@ from .datagen import (generate, observe, write_observed_csv,
 from .params import (ScenarioConfig, is_outcome_null, load_bundled,
                      load_scenario)
 from .quadrature import RefinementError, null_stratum_effect
-from .strata import (S_BOTH, S_TREATED, EffectEstimate, oracle_effect,
-                     stratum_sums, write_effects_csv)
+from .strata import (S_BOTH, S_TREATED, EffectEstimate, bias_decomposition,
+                     oracle_effect, stratum_sums, write_effects_csv)
 
 Run = tuple[dict, int]  # a subcommand's ({file name: writer}, failed claims)
 
@@ -62,26 +62,23 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _oracles(cfg: ScenarioConfig, method: str = "both", threads: int = 1,
-             nodes: int = 64, bias: bool = False):
+             nodes: int = 64):
     """(quad, both, treated, agreement): the closed form, the S_++ and S_*+
     Monte Carlo effects and their ``_gap_check``, None where ``method``
     skips one.  The closed form runs before any subject is drawn, and
     ``quadrature`` draws none; the subjects are streamed in id blocks on
-    ``threads`` threads, keeping only their cells' exact sums.  With
-    ``bias``, that pass also gives the ``bias_decomposition``, as a fifth
-    item."""
+    ``threads`` threads, keeping only their cells' exact sums."""
     quad = (null_stratum_effect(cfg.params, nodes=nodes)
             if method != "mc" else None)
     if method == "quadrature":
         return quad, None, None, None
-    sums = stratum_sums(cfg, (S_BOTH, S_TREATED), threads, bias)
-    sums, report = sums if bias else (sums, None)
+    sums = stratum_sums(cfg, (S_BOTH, S_TREATED), threads)
     both = oracle_effect(sums, S_BOTH)
     treated = oracle_effect(sums, S_TREATED)
-    agreement = (None if quad is None else
-                 _gap_check(quad, treated.value, treated.se,
-                            _MC_AGREEMENT_SIGMAS))
-    return (quad, both, treated, agreement) + ((report,) if bias else ())
+    if quad is None:
+        return quad, both, treated, None
+    return quad, both, treated, _gap_check(quad, treated.value, treated.se,
+                                           _MC_AGREEMENT_SIGMAS)
 
 
 def _calibration(cfg: ScenarioConfig, control, estimator: str, R: int,
@@ -176,8 +173,8 @@ def _demo_claims(seed_override, threads):
     # 1-2: under a full null the treated-adherent stratum effect is
     # nonzero, a selection bias, while the always-adherent one is zero.
     cfg = load("full_null_demo")
-    quad, both, treated, (_, bound, agree), bias = _oracles(
-        cfg, threads=threads, bias=True)
+    quad, both, treated, (_, bound, agree) = _oracles(cfg, threads=threads)
+    bias = bias_decomposition(cfg, threads)
     effect_rows = [(cfg.label, S_TREATED.code, treated),
                    (cfg.label, S_BOTH.code, both)]
     claims += [

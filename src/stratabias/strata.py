@@ -13,8 +13,7 @@ permutation invariance hold bit-for-bit, and nothing is sorted.
 
 ``oracle_effect`` reads a whole ``SubjectData`` or the per-cell sums of
 ``stratum_sums``, on any number of threads, to bitwise the same estimate;
-``bias_decomposition`` likewise reads a table or streams a scenario,
-alone or in the same pass as ``stratum_sums``.
+``bias_decomposition`` likewise reads a table or streams a scenario.
 """
 
 from __future__ import annotations
@@ -126,21 +125,15 @@ def _block_sums(a: np.ndarray, y: np.ndarray,
 
 
 def stratum_sums(source: ScenarioConfig | SubjectData,
-                 labels: tuple[StratumLabel, ...], threads: int = 1,
-                 bias: bool = False):
+                 labels: tuple[StratumLabel, ...], threads: int = 1) -> dict:
     """{(a(0), a(1)): (members, sum of d, sum of d^2)} over the cells
     ``labels`` cover, each sum exact as an integer in units of 2^-1126:
     of a table's slices, or of a scenario's id blocks, each reduced and
-    dropped on the one of ``threads`` threads that made it.  With
-    ``bias``, (those sums, the ``bias_decomposition``) from the same
-    pass, so a scenario is generated once for both."""
+    dropped on the one of ``threads`` threads that made it."""
     cells = _cells(labels)
-    parts = _parts(source, lambda a, y: (_block_sums(a, y, cells),
-                                         _bias_sums(a, y) if bias else None),
-                   threads)
-    sums = {c: tuple(map(sum, zip((0, 0, 0), *(p[c] for p, _ in parts))))
+    parts = _parts(source, lambda a, y: _block_sums(a, y, cells), threads)
+    return {c: tuple(map(sum, zip((0, 0, 0), *(p[c] for p in parts))))
             for c in cells}
-    return (sums, _bias_report([b for _, b in parts])) if bias else sums
 
 
 def _parts(source: ScenarioConfig | SubjectData, reduce: Callable,
@@ -232,20 +225,17 @@ def _bias_sums(a: np.ndarray, y: np.ndarray) -> tuple:
             _exact(y[:, 1]), _exact(y[:, 0]))
 
 
-def bias_decomposition(source: ScenarioConfig | SubjectData) -> BiasReport:
+def bias_decomposition(source: ScenarioConfig | SubjectData,
+                       threads: int = 1) -> BiasReport:
     """Selection shifts of each arm's outcome under treated-adherent conditioning.
 
     The difference of the two shifts equals the treated-adherent stratum
     effect minus the unconditional mean contrast, an arithmetic identity
-    on any dataset.  A scenario is streamed in id blocks of exact sums,
-    so the report is bitwise that of ``generate(config)``.
+    on any dataset.  A scenario is streamed in id blocks of exact sums on
+    ``threads`` threads, so the report is bitwise that of
+    ``generate(config)``.
     """
-    return _bias_report(_parts(source, _bias_sums))
-
-
-def _bias_report(parts: list) -> BiasReport:
-    """The ``BiasReport`` of the blocks' ``_bias_sums``."""
-    m, n, s1, s0, t1, t0 = map(sum, zip(*parts))
+    m, n, s1, s0, t1, t0 = map(sum, zip(*_parts(source, _bias_sums, threads)))
     if m == 0:
         raise EmptyStratumError(f"empty stratum {S_TREATED.code}")
     return BiasReport(s1 / _ONE / m, s0 / _ONE / m, t1 / _ONE / n,

@@ -341,14 +341,16 @@ def test_calibrate_observes_block_by_block(tmp_path, monkeypatch,
 
 
 def test_paper_demo_builds_no_trial_table(tmp_path, blocks_only):
-    """Each scenario the demo draws is generated once, in blocks: claim 1
-    takes the oracle's and the bias decomposition's sums in one pass."""
+    """Every scenario the demo draws is generated in blocks, once per
+    streamed pass: ``full_null_demo`` twice, as claim 1 streams the
+    oracle's sums and then the bias decomposition's, and each other
+    drawn scenario once."""
     assert main(["paper-demo", "--threads", "2",
                  "--out", str(tmp_path / "r")]) == 0
     sizes = [load_bundled(name).n
              for name in stratabias.bundled_scenario_names()]
     assert max(blocks_only) <= datagen._CHUNK < min(sizes)
-    drawn = ("full_null_demo", "zero_beta3", "zero_gamma3",
+    drawn = ("full_null_demo", "full_null_demo", "zero_beta3", "zero_gamma3",
              "partial_null_gamma2")
     assert sum(blocks_only) == sum(load_bundled(name).n for name in drawn)
 

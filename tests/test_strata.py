@@ -278,8 +278,8 @@ def test_streamed_oracle_empty_stratum_raises(monkeypatch):
 def test_streamed_bias_decomposition_is_bitwise_the_whole_table_one(
         monkeypatch):
     """A scenario streamed in blocks of 777 ids, the last one ragged,
-    gives the whole table's ``BiasReport`` bit for bit, alone or from
-    the oracle's pass on any thread count."""
+    gives the whole table's ``BiasReport`` and per-cell sums bit for
+    bit, on any thread count."""
     def bits(report):
         return [v.hex() if isinstance(v, float) else v
                 for v in dataclasses.astuple(report)]
@@ -290,10 +290,10 @@ def test_streamed_bias_decomposition_is_bitwise_the_whole_table_one(
     monkeypatch.setattr(datagen, "_CHUNK", 777)
     assert cfg.n % 777 and len(generate_blocks(cfg, len)) == 7
     assert bits(bias_decomposition(cfg)) == bits(whole)
-    for threads in (1, 2):
-        sums, report = strata.stratum_sums(cfg, labels, threads, bias=True)
-        assert sums == strata.stratum_sums(data, labels)
-        assert bits(report) == bits(whole)
+    for threads in (1, 2, 8):
+        assert (strata.stratum_sums(cfg, labels, threads)
+                == strata.stratum_sums(data, labels))
+        assert bits(bias_decomposition(cfg, threads)) == bits(whole)
 
 
 def test_bias_decomposition_empty_stratum_raises(monkeypatch):
