@@ -8,8 +8,8 @@ adherent under control.
 
 Every sum here is exact, an integer that rounds once, so stratum means
 and the sums of squares behind their SEs do not depend on record order
-or on how members are grouped - the grouped-mean (tower) identity and
-permutation invariance hold bit-for-bit, and nothing is sorted.
+or on how members are grouped: a stratum mean in record order equals
+the mean in (x, id) order bit for bit (``tower_check``).
 
 ``oracle_effect`` reads a whole ``SubjectData`` or the per-cell sums of
 ``stratum_sums``, on any number of threads, to bitwise the same estimate;
@@ -101,7 +101,8 @@ def _exact(*arrays) -> int:
 
 
 def _cells(labels: tuple[StratumLabel, ...]) -> list[tuple[int, int]]:
-    """The (a(0), a(1)) cells that any of ``labels`` admits."""
+    """The (a(0), a(1)) cells that any of ``labels`` admits: the one
+    membership rule, where a None requirement admits either arm."""
     return [(i, j) for i in (0, 1) for j in (0, 1)
             if any(label.req0 in (None, i) and label.req1 in (None, j)
                    for label in labels)]
@@ -151,23 +152,15 @@ def exact_mean(values: np.ndarray) -> float:
     return _exact(values) / _ONE / len(values)
 
 
+def _admitted(a: np.ndarray, label: StratumLabel) -> np.ndarray:
+    """Mask of the adherence pairs ``a`` in a cell that ``label`` admits."""
+    cell = 2 * a[:, 0] + a[:, 1]
+    return np.isin(cell, [2 * i + j for i, j in _cells((label,))])
+
+
 def members(data: SubjectData, label: StratumLabel) -> np.ndarray:
     """Boolean membership mask over a dataset."""
-    ok = np.ones(len(data), dtype=bool)
-    for arm, req in enumerate((label.req0, label.req1)):
-        if req is not None:
-            ok &= data.a[:, arm] == req
-    return ok
-
-
-def _nonempty(data: SubjectData,
-              label: StratumLabel) -> tuple[np.ndarray, int]:
-    """(membership mask, member count); an empty stratum raises."""
-    mask = members(data, label)
-    m = int(mask.sum())
-    if m == 0:
-        raise EmptyStratumError(f"empty stratum {label.code}")
-    return mask, m
+    return _admitted(data.a, label)
 
 
 def oracle_effect(data: SubjectData | dict,
@@ -190,37 +183,26 @@ def oracle_effect(data: SubjectData | dict,
     return EffectEstimate(value=s1 / _ONE / m, se=se, n_members=m)
 
 
-def tower_check(data: SubjectData, label: StratumLabel = S_TREATED,
-                n_bins: int = 20) -> tuple[float, float]:
-    """Compare the direct stratum mean against its grouped-mean form.
+def tower_check(data: SubjectData,
+                label: StratumLabel = S_TREATED) -> tuple[float, float]:
+    """The stratum mean of y(1) - y(0) in record order and in (x, id) order.
 
-    lhs is the stratum mean of y(1) - y(0).  rhs regroups the members
-    into ``n_bins`` equal-frequency bins on the baseline covariate (ties
-    broken by id) and takes the mean over the concatenated bins, in exact
-    arithmetic the membership-weighted average of within-bin means.  Both
-    sides are exactly-rounded sums, so lhs == rhs bit-for-bit whenever the
-    bins partition the members; as (x, id) order is not record order, a
-    mean that depended on summation order would break the identity.
+    Both are exactly-rounded means, so they are equal bit for bit; as
+    (x, id) order is not record order, a mean that depended on summation
+    order would tell them apart.
     """
-    if n_bins < 2:
-        raise ValueError("n_bins must be >= 2")
-    mask, m = _nonempty(data, label)
-    if n_bins > m:
-        raise ValueError(f"n_bins={n_bins} exceeds stratum size {m}")
-
+    mask = members(data, label)
+    if not mask.any():
+        raise EmptyStratumError(f"empty stratum {label.code}")
     d = data.y[mask, 1] - data.y[mask, 0]
-    lhs = exact_mean(d)
-
     order = np.lexsort((data.ids[mask], data.x[mask]))
-    bins = np.array_split(order, n_bins)
-    rhs = exact_mean(d[np.concatenate(bins)])
-    return lhs, rhs
+    return exact_mean(d), exact_mean(d[order])
 
 
 def _bias_sums(a: np.ndarray, y: np.ndarray) -> tuple:
     """(S_*+ members, subjects, exact sums of y(1) and y(0) over the
     members, and over all subjects)."""
-    mask = a[:, 1] == 1
+    mask = _admitted(a, S_TREATED)
     return (int(mask.sum()), len(y), _exact(y[mask, 1]), _exact(y[mask, 0]),
             _exact(y[:, 1]), _exact(y[:, 0]))
 

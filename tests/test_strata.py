@@ -1,4 +1,4 @@
-"""Stratum oracle: membership, exact means, and the grouped-mean identity."""
+"""Stratum oracle: membership, exact means, and the order-free tower check."""
 
 import dataclasses
 import math
@@ -46,6 +46,26 @@ def test_membership_predicates():
     assert members(data, free).all()
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_members_is_the_union_of_the_label_cells(seed):
+    """members admits exactly the rows in a cell _cells gives the label,
+    for every requirement pair in {None, 0, 1}^2."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    a0, a1 = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    data = tiny_data(a0=a0, a1=a1)
+    for req0 in (None, 0, 1):
+        for req1 in (None, 0, 1):
+            label = StratumLabel(req0, req1, "S")
+            cells = strata._cells((label,))
+            assert len(cells) == (1 + (req0 is None)) * (1 + (req1 is None))
+            want = np.zeros(n, dtype=bool)
+            for i, j in cells:
+                want |= (a0 == i) & (a1 == j)
+            assert members(data, label).tolist() == want.tolist()
+
+
 def test_stratum_nesting():
     data = generate(load_scenario(dict(
         mu_x=0, sigma_x=1, alpha0=[0], alpha1=[0.5], alpha2=[0],
@@ -89,35 +109,27 @@ def test_permutation_invariance_bitwise():
         a = oracle_effect(data, label)
         b = oracle_effect(shuffled, label)
         assert a.value == b.value and a.se == b.se  # bit-for-bit
-        lhs0, rhs0 = tower_check(data, label, n_bins=13)
-        lhs1, rhs1 = tower_check(shuffled, label, n_bins=13)
+        lhs0, rhs0 = tower_check(data, label)
+        lhs1, rhs1 = tower_check(shuffled, label)
         assert lhs0 == lhs1 == rhs0 == rhs1
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=2, max_value=300),
-       n_bins=st.integers(min_value=2, max_value=25),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_tower_identity_bitwise(n, n_bins, seed):
+def test_tower_identity_bitwise(n, seed):
     rng = np.random.default_rng(seed)
     data = tiny_data(a0=rng.integers(0, 2, n), a1=np.ones(n, dtype=int),
                      diff=rng.normal(size=n) * 10.0 ** rng.integers(-3, 4),
                      x=rng.choice([0.0, 1.0, 2.5], size=n))  # heavy x ties
-    if n_bins > n:
-        with pytest.raises(ValueError, match="n_bins"):
-            tower_check(data, S_TREATED, n_bins=n_bins)
-        return
-    lhs, rhs = tower_check(data, S_TREATED, n_bins=n_bins)
+    lhs, rhs = tower_check(data, S_TREATED)
     assert lhs == rhs
     assert lhs == oracle_effect(data, S_TREATED).value
 
 
 def test_tower_argument_validation():
-    data = tiny_data(a0=[1, 1, 1], a1=[1, 1, 1])
-    with pytest.raises(ValueError, match="n_bins"):
-        tower_check(data, S_TREATED, n_bins=1)
     with pytest.raises(EmptyStratumError):
-        tower_check(tiny_data(a0=[1], a1=[0]), S_TREATED, n_bins=2)
+        tower_check(tiny_data(a0=[1], a1=[0]), S_TREATED)
 
 
 def test_bias_decomposition_identity():

@@ -1,12 +1,14 @@
-"""Run one fixed list of CLI invocations in two checkouts and report
-every difference between them.
+"""Run one fixed list of CLI invocations and the demos in two
+checkouts and report every difference between them.
 
     python3 tools/compare_runs.py BASE NEW
 
 BASE and NEW are checkout roots, each holding ``src/stratabias``.  Each
 invocation runs ``python -m stratabias.cli`` with that checkout's
 ``src`` on ``PYTHONPATH`` and a fresh, not yet existing ``--out``
-directory.  Per invocation it compares:
+directory; each demo run runs that checkout's own ``demos/<name>.py``
+the same way, without ``--out``.  Every run has the work directory as
+its current directory.  Per run it compares:
 
 - the exit code;
 - stdout and stderr, with the checkout root, the output directory and
@@ -40,11 +42,12 @@ visit model), three runs that fail after their scenario loads, one that
 outcomes), ``true-effect full_null_demo --method mc`` at ``--threads 1``
 and ``2`` (the streamed oracle on one thread and on two; a checkout
 whose ``true-effect`` has no ``--threads`` exits 2 on both),
-``paper-demo`` with and without ``--seed``, and ``true-effect --method
+``paper-demo`` with and without ``--seed``, ``true-effect --method
 quadrature`` and ``paper-demo`` at ``--threads 0`` (a checkout that
 checks the thread count only where threads start exits 0 on the first,
 having written the closed form, and 2 on the second only after the
-closed form ran).
+closed form ran), and every script in either checkout's ``demos/``
+(one that a checkout lacks exits 2 there).
 
 Outputs are deleted once compared. It takes a few minutes on two cores
 and is not part of the test suite. Exit status: 0 when every run
@@ -71,9 +74,11 @@ METHODS = ("quadrature", "mc", "both")
 VOLATILE = ("timestamp", "duration_seconds")  # manifest keys left out
 
 
-def invocations(scenarios: list[str], work: Path) -> list[tuple[str, list]]:
+def invocations(scenarios: list[str], demos: list[str],
+                work: Path) -> list[tuple[str, list]]:
     """(run id, arguments) pairs.  ``{name}`` in an argument is a bundled
-    scenario of the checkout being run."""
+    scenario of the checkout being run; a demo's one argument is its
+    path in the checkout."""
     beta2 = work / "beta2_0.3.json"  # off the outcome null
     runs = []
     for name in scenarios:
@@ -119,6 +124,7 @@ def invocations(scenarios: list[str], work: Path) -> list[tuple[str, list]]:
           "--threads", "0"]),
         ("fails: paper-demo --threads 0", ["paper-demo", "--threads", "0"]),
     ]
+    runs += [(f"demo {name}", [f"demos/{name}"]) for name in demos]
     return runs
 
 
@@ -146,13 +152,16 @@ def run_one(root: Path, args: list, work: Path, out: Path) -> dict:
     """Run one invocation in checkout ``root``; its comparable record."""
     bundled = {p.stem: str(p) for p in _scenario_dir(root).glob("*.json")}
     argv = [a.format_map(bundled) for a in args]
+    if argv[0].startswith("demos/"):
+        command = [str(root / argv[0])]
+    else:
+        command = ["-m", "stratabias.cli", *argv, "--out", str(out)]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryFile("w+") as so, \
             tempfile.TemporaryFile("w+") as se:
         start = time.monotonic()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "stratabias.cli", *argv, "--out",
-             str(out)], cwd=work, env=env, stdout=so, stderr=se)
+        proc = subprocess.Popen([sys.executable, *command], cwd=work,
+                                env=env, stdout=so, stderr=se)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.monotonic() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -247,7 +256,9 @@ def main(argv=None) -> int:
                          .read_text())
         (work / "beta2_0.3.json").write_text(json.dumps({**doc, "beta2": 0.3}))
         names = sorted(p.stem for p in _scenario_dir(new).glob("*.json"))
-        runs = invocations(names, work)
+        demos = sorted({p.name for root in (base, new)
+                        for p in (root / "demos").glob("*.py")})
+        runs = invocations(names, demos, work)
         n_diff = 0
         for i, (run_id, run_args) in enumerate(runs):
             records = [run_one(root, run_args, work, work / f"{side}{i}")
