@@ -40,10 +40,11 @@ and the adherence path), 87 B per subject at K = 3.
 ``generate_blocks`` maps over the id blocks of ``_CHUNK`` on it, and
 ``calibration`` over its split rounds.  ``generate`` and ``observe`` of
 a scenario are the block map on one thread, each block copied into its
-id rows of one table and dropped; ``observe`` projects each block
-first, so it never holds the whole trial's potential outcomes.  The
-Monte Carlo oracle and the selection-bias split reduce each block to
-exact integer sums, so their memory grows with the threads, not with n.
+id rows of one table, which the first block sizes, and dropped;
+``observe`` projects each block first, so it never holds the whole
+trial's potential outcomes.  The Monte Carlo oracle and the
+selection-bias split reduce each block to exact integer sums, so their
+memory grows with the threads, not with n.
 """
 
 from __future__ import annotations
@@ -118,13 +119,11 @@ class ObservedData:
         return self.z.shape[1]
 
     def subset(self, mask: np.ndarray) -> "ObservedData":
-        return ObservedData(self.ids[mask], self.x[mask], self.t[mask],
-                            self.z[mask], self.a[mask], self.y[mask])
+        return ObservedData(**{col: v[mask] for col, v in vars(self).items()})
 
     def relabeled(self, t_new: np.ndarray) -> "ObservedData":
         """View with a replaced arm column; every other array is shared."""
-        return ObservedData(self.ids, self.x, t_new.astype(self.t.dtype),
-                            self.z, self.a, self.y)
+        return ObservedData(**dict(vars(self), t=t_new.astype(self.t.dtype)))
 
 
 def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectData:
@@ -174,18 +173,23 @@ def generate_block(params: ModelParams, seed: int, ids: np.ndarray) -> SubjectDa
 
 def generate(config: ScenarioConfig) -> SubjectData:
     """Generate the scenario's n subjects with ids 0..n-1 into one table."""
-    n, K = config.n, config.params.K
-    return _fill(config, SubjectData(
-        np.empty(n, np.int64), np.empty(n), np.empty(n, np.int8),
-        np.empty((n, 2, K)), np.empty((n, 2)), np.empty((n, 2, K), np.int8)))
+    return _fill(config)
 
 
-def _fill(config: ScenarioConfig, table, project=lambda block: block):
-    """``table`` filled by the block map on one thread: each block passes
-    through ``project`` into its id rows and is dropped."""
+def _fill(config: ScenarioConfig, project=lambda block: block):
+    """One table filled by the block map on one thread: each block passes
+    through ``project`` into its id rows and is dropped.  The first block
+    sizes it: ``config.n`` rows of its columns' dtypes and trailing shapes."""
+    table = None
+
     def put(block: SubjectData) -> None:
-        rows = slice(block.ids[0], block.ids[0] + len(block))
+        nonlocal table
         part = project(block)
+        if table is None:
+            table = type(part)(**{
+                col: np.empty((config.n, *values.shape[1:]), values.dtype)
+                for col, values in vars(part).items()})
+        rows = slice(block.ids[0], block.ids[0] + len(block))
         for col, values in vars(table).items():
             values[rows] = getattr(part, col)
     generate_blocks(config, put)
@@ -247,15 +251,12 @@ def observe(source: ScenarioConfig | SubjectData,
     after it is decided), so the value at the dropout visit itself is
     seen.  The outcome is observed for adherers, or for everyone when
     ``keep_y_after_dropout`` is set.  A scenario's blocks are projected
-    as they are made: the rows of ``observe(generate(config))``, without
-    that table.
+    as they are made, into a table the first one sizes: the rows of
+    ``observe(generate(config))``, without that table.
     """
     if isinstance(source, ScenarioConfig):
-        n, K = source.n, source.params.K
-        return _fill(source, ObservedData(
-            np.empty(n, np.int64), np.empty(n), np.empty(n, np.int8),
-            np.empty((n, K)), np.empty(n, np.int8), np.empty(n)),
-            lambda block: observe(block, keep_y_after_dropout))
+        return _fill(source,
+                     lambda block: observe(block, keep_y_after_dropout))
     n = len(source)
     K = source.z.shape[2]
     arm = source.t.astype(np.int64)

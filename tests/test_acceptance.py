@@ -156,7 +156,7 @@ def test_c07_tower_identity():
     lhs, rhs = tower_check(null_data, S_TREATED)
     est = oracle_effect(null_data, S_TREATED)
     null_ok = (lhs == rhs) and abs(lhs) <= 3.5 * est.se
-    _report(7, f"grouped == direct bit-for-bit on "
+    _report(7, f"record order == (x, id) order bit-for-bit on "
                f"{len(bundled_scenario_names())} scenarios x 2 strata; "
                f"gamma3=0 lhs z={lhs / est.se:+.2f} at n=1e6",
             exact and null_ok)

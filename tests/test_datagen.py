@@ -314,6 +314,39 @@ def test_observing_a_scenario_holds_one_block_beyond_its_table():
     assert above_table(1 << 19) < 1.01 * above_table(n) < table
 
 
+def test_tables_take_their_layout_from_the_blocks(monkeypatch):
+    """Each column's dtype and trailing shape come from the block maker:
+    blocks carrying z as float32 and a_seq as bool give tables of those
+    dtypes, holding the blocks' values bit for bit, ragged block too."""
+    blocks, real_block = {}, dg.generate_block
+
+    def block(params, seed, ids):
+        made = real_block(params, seed, ids)
+        made.z = made.z.astype(np.float32)
+        made.a_seq = made.a_seq.astype(bool)
+        blocks[int(ids[0])] = made
+        return made
+    monkeypatch.setattr(dg, "_CHUNK", 777)
+    monkeypatch.setattr(dg, "generate_block", block)
+    cfg = config(n=3000)
+    data = generate(cfg)
+    assert (data.z.dtype, data.a_seq.dtype) == (np.float32, np.bool_)
+    assert sorted(blocks) == list(range(0, 3000, 777))
+    for col in ("ids", "x", "t", "z", "y", "a_seq"):
+        whole = np.concatenate([getattr(blocks[i], col)
+                                for i in sorted(blocks)])
+        assert getattr(data, col).dtype == whole.dtype, col
+        assert getattr(data, col).tobytes() == whole.tobytes(), col
+    for keep in (True, False):
+        streamed = observe(cfg, keep_y_after_dropout=keep)
+        assert (streamed.z.dtype, streamed.a.dtype) == (np.float32, np.bool_)
+        whole = observe(data, keep_y_after_dropout=keep)
+        for col in OBSERVED:
+            a, b = getattr(whole, col), getattr(streamed, col)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), col
+            assert a.tobytes() == b.tobytes(), col
+
+
 def test_observed_record_view():
     data = generate(config(n=50, gamma0=-50.0))
     obs = observe(data)
@@ -396,3 +429,11 @@ def test_subset_and_relabel_views():
     assert (flipped.t == 1).all()
     assert (flipped.y[~np.isnan(flipped.y)]
             == controls.y[~np.isnan(controls.y)]).all()
+    for col in OBSERVED:
+        assert getattr(controls, col).dtype == getattr(obs, col).dtype, col
+        assert getattr(flipped, col).dtype == getattr(obs, col).dtype, col
+        if col != "t":
+            assert getattr(flipped, col) is getattr(controls, col), col
+    assert flipped.t is not controls.t
+    cast = controls.relabeled(np.ones(len(controls), dtype=bool))
+    assert cast.t.dtype == obs.t.dtype and (cast.t == 1).all()
