@@ -118,6 +118,9 @@ def _irls(x: np.ndarray, z: np.ndarray, r: np.ndarray, what: str,
     stalls in the endgame, where full Newton steps still shrink the
     gradient but move the log-likelihood by under an ulp.
     """
+    if r.all() or not r.any():
+        raise SeparationError(f"quasi-separation while fitting {what}: "
+                              "every response is the same")
     # imported here, not at module level, so import stratabias loads no scipy
     from scipy.special import expit
     beta = np.zeros(3) if start is None else np.array(start, dtype=float)

@@ -37,14 +37,15 @@ stores only what the oracles, estimators and writers read (x, t, z, y
 and the adherence path), 87 B per subject at K = 3.
 
 ``thread_map`` is the one parallel loop, one item in flight per thread:
-``generate_blocks`` maps over the id blocks of ``_CHUNK`` on it, and
+``generate_blocks``, the one block map, maps on it over the blocks of
+``_CHUNK`` (a scenario's id blocks or a table's row slices), and
 ``calibration`` over its split rounds.  ``generate`` and ``observe`` of
 a scenario are the block map on one thread, each block copied into its
 id rows of one table, which the first block sizes, and dropped;
 ``observe`` projects each block first, so it never holds the whole
 trial's potential outcomes.  The Monte Carlo oracle and the
-selection-bias split reduce each block to exact integer sums, so their
-memory grows with the threads, not with n.
+selection-bias split reduce each block of either source to exact
+integer sums, so a scenario's memory grows with the threads, not with n.
 """
 
 from __future__ import annotations
@@ -196,16 +197,21 @@ def _fill(config: ScenarioConfig, project=lambda block: block):
     return table
 
 
-def generate_blocks(config: ScenarioConfig,
+def generate_blocks(source: ScenarioConfig | SubjectData,
                     reduce: Callable[[SubjectData], object],
                     threads: int = 1) -> list:
-    """``reduce`` of each of the scenario's id blocks of ``_CHUNK``, in id
-    order, by ``thread_map``: each is reduced and dropped where it was made."""
+    """``reduce`` of each block of ``_CHUNK`` in row order, by
+    ``thread_map``: a scenario's id blocks, each reduced and dropped where
+    it was made, or a table's row slices, views that share its arrays."""
     def one(i: int):
-        ids = np.arange(i * _CHUNK, min((i + 1) * _CHUNK, config.n),
-                        dtype=np.int64)
-        return reduce(generate_block(config.params, config.seed, ids))
-    return thread_map(one, -(-config.n // _CHUNK), threads)
+        rows = slice(i * _CHUNK, (i + 1) * _CHUNK)
+        if isinstance(source, SubjectData):
+            return reduce(SubjectData(**{col: values[rows] for col, values
+                                         in vars(source).items()}))
+        ids = np.arange(rows.start, min(rows.stop, source.n), dtype=np.int64)
+        return reduce(generate_block(source.params, source.seed, ids))
+    n = len(source) if isinstance(source, SubjectData) else source.n
+    return thread_map(one, -(-n // _CHUNK), threads)
 
 
 def thread_map(fn: Callable[[int], object], n: int, threads: int) -> list:

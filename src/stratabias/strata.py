@@ -11,15 +11,15 @@ and the sums of squares behind their SEs do not depend on record order
 or on how members are grouped: a stratum mean in record order equals
 the mean in (x, id) order bit for bit (``tower_check``).
 
-``oracle_effect`` reads a whole ``SubjectData`` or the per-cell sums of
-``stratum_sums``, on any number of threads, to bitwise the same estimate;
-``bias_decomposition`` likewise reads a table or streams a scenario.
+``stratum_sums`` and ``bias_decomposition`` reduce each block of the one
+block map, ``datagen.generate_blocks`` (a table's row slices or a
+scenario's id blocks), to exact sums, bitwise the same on any number of
+threads; ``oracle_effect`` reads a table or those per-cell sums.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -108,12 +108,12 @@ def _cells(labels: tuple[StratumLabel, ...]) -> list[tuple[int, int]]:
                    for label in labels)]
 
 
-def _block_sums(a: np.ndarray, y: np.ndarray,
-                cells: list[tuple[int, int]]) -> dict:
-    """Per cell of a block's adherence pairs ``a``: the count and exact
-    sums of the contrasts d and of d^2, as h^2 + 2h*low + low^2 (exact
-    doubles, as d = h + low splits into 26-bit halves: Veltkamp)."""
-    d = y[:, 1] - y[:, 0]
+def _block_sums(block: SubjectData, cells: list[tuple[int, int]]) -> dict:
+    """Per cell of a block's adherence pairs (a scenario's id block or a
+    table's row slice): the count and exact sums of the contrasts d and
+    of d^2, as h^2 + 2h*low + low^2 (exact doubles, as d = h + low splits
+    into 26-bit halves: Veltkamp)."""
+    a, d = block.a, block.y[:, 1] - block.y[:, 0]
     sums = {}
     for i, j in cells:
         dc = d[(a[:, 0] == i) & (a[:, 1] == j)]
@@ -129,22 +129,13 @@ def stratum_sums(source: ScenarioConfig | SubjectData,
                  labels: tuple[StratumLabel, ...], threads: int = 1) -> dict:
     """{(a(0), a(1)): (members, sum of d, sum of d^2)} over the cells
     ``labels`` cover, each sum exact as an integer in units of 2^-1126:
-    of a table's slices, or of a scenario's id blocks, each reduced and
-    dropped on the one of ``threads`` threads that made it."""
+    of the blocks of ``generate_blocks`` (a table's row slices or a
+    scenario's id blocks), each reduced on one of ``threads`` threads."""
     cells = _cells(labels)
-    parts = _parts(source, lambda a, y: _block_sums(a, y, cells), threads)
+    parts = generate_blocks(source, lambda block: _block_sums(block, cells),
+                            threads)
     return {c: tuple(map(sum, zip((0, 0, 0), *(p[c] for p in parts))))
             for c in cells}
-
-
-def _parts(source: ScenarioConfig | SubjectData, reduce: Callable,
-           threads: int = 1) -> list:
-    """``reduce(a, y)`` of a table's slices or of a scenario's id blocks."""
-    if isinstance(source, SubjectData):
-        return [reduce(source.a[lo:lo + _SLICE], source.y[lo:lo + _SLICE])
-                for lo in range(0, len(source), _SLICE)]
-    return generate_blocks(source, lambda block: reduce(block.a, block.y),
-                           threads)
 
 
 def exact_mean(values: np.ndarray) -> float:
@@ -152,15 +143,11 @@ def exact_mean(values: np.ndarray) -> float:
     return _exact(values) / _ONE / len(values)
 
 
-def _admitted(a: np.ndarray, label: StratumLabel) -> np.ndarray:
-    """Mask of the adherence pairs ``a`` in a cell that ``label`` admits."""
-    cell = 2 * a[:, 0] + a[:, 1]
-    return np.isin(cell, [2 * i + j for i, j in _cells((label,))])
-
-
 def members(data: SubjectData, label: StratumLabel) -> np.ndarray:
-    """Boolean membership mask over a dataset."""
-    return _admitted(data.a, label)
+    """Boolean mask of the subjects, of a table or of one block of
+    ``generate_blocks``, whose (A(0), A(1)) cell ``label`` admits."""
+    cell = 2 * data.a[:, 0] + data.a[:, 1]
+    return np.isin(cell, [2 * i + j for i, j in _cells((label,))])
 
 
 def oracle_effect(data: SubjectData | dict,
@@ -199,10 +186,11 @@ def tower_check(data: SubjectData,
     return exact_mean(d), exact_mean(d[order])
 
 
-def _bias_sums(a: np.ndarray, y: np.ndarray) -> tuple:
-    """(S_*+ members, subjects, exact sums of y(1) and y(0) over the
-    members, and over all subjects)."""
-    mask = _admitted(a, S_TREATED)
+def _bias_sums(block: SubjectData) -> tuple:
+    """Of one block, a table's row slice or a scenario's id block: (S_*+
+    members, subjects, exact sums of y(1) and y(0) over the members, and
+    over all subjects)."""
+    mask, y = members(block, S_TREATED), block.y
     return (int(mask.sum()), len(y), _exact(y[mask, 1]), _exact(y[mask, 0]),
             _exact(y[:, 1]), _exact(y[:, 0]))
 
@@ -213,11 +201,12 @@ def bias_decomposition(source: ScenarioConfig | SubjectData,
 
     The difference of the two shifts equals the treated-adherent stratum
     effect minus the unconditional mean contrast, an arithmetic identity
-    on any dataset.  A scenario is streamed in id blocks of exact sums on
-    ``threads`` threads, so the report is bitwise that of
-    ``generate(config)``.
+    on any dataset.  Each block of ``generate_blocks`` reduces to exact
+    sums on one of ``threads`` threads, so a scenario's report is bitwise
+    that of ``generate(config)`` at any thread count.
     """
-    m, n, s1, s0, t1, t0 = map(sum, zip(*_parts(source, _bias_sums, threads)))
+    m, n, s1, s0, t1, t0 = map(sum, zip(*generate_blocks(source, _bias_sums,
+                                                         threads)))
     if m == 0:
         raise EmptyStratumError(f"empty stratum {S_TREATED.code}")
     return BiasReport(s1 / _ONE / m, s0 / _ONE / m, t1 / _ONE / n,

@@ -129,7 +129,11 @@ def _reference_loglik(eta, r):
 
 
 def _reference_irls(x, z, r, what):
-    """The Newton/IRLS fit as it was before its step was trimmed."""
+    """The Newton/IRLS fit as it was before its step was trimmed, with
+    its refusal of responses that are all the same."""
+    if r.all() or not r.any():
+        raise SeparationError(f"quasi-separation while fitting {what}: "
+                              "every response is the same")
     beta = np.zeros(3)
     eta = np.zeros_like(x)
     ll = _reference_loglik(eta, r)
@@ -219,10 +223,12 @@ def test_irls_is_bitwise_the_reference(m, seed, coef, scale, as_bool):
 def test_irls_near_separation_raises_as_the_reference():
     rng = np.random.default_rng(7)
     x, z = rng.normal(size=500), rng.normal(size=500)
-    r = z > 0  # separated by z's sign: the MLE walks out to infinity
-    got = _outcome(calibration._irls, x, z, r, "visit 2 in arm 1")
-    assert got[0] is SeparationError
-    assert got == _outcome(_reference_irls, x, z, r, "visit 2 in arm 1")
+    # separated by z's sign, or every response the same: either way the
+    # MLE walks out to infinity
+    for r in (z > 0, np.ones(500, dtype=bool), np.zeros(500)):
+        got = _outcome(calibration._irls, x, z, r, "visit 2 in arm 1")
+        assert got[0] is SeparationError
+        assert got == _outcome(_reference_irls, x, z, r, "visit 2 in arm 1")
 
 
 def test_irls_from_a_start_reaches_the_same_maximum():

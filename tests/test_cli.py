@@ -458,16 +458,24 @@ def test_calibrate_always_keeps_outcomes(tmp_path, capsys):
 
 
 def test_calibrate_singular_design_fails_before_splitting(tmp_path, capsys):
-    doc = load_bundled("sigma_eta_zero").to_dict()
-    doc.update(n=20_000)
-    scen = tmp_path / "sigma_eta_zero.json"
-    scen.write_text(json.dumps(doc))
-    rc = main(["calibrate", str(scen), "--threads", "1",
-               "--out", str(tmp_path / "r")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "singular information matrix" in err
-    assert "replicates failed" not in err
+    """A design whose arm-1 visit fit has no finite maximiser is refused
+    before any split: sigma_eta = 0 makes the information singular, and
+    at gamma0 = 60 every at-risk subject adheres, where the gradient
+    would fall below tolerance before the coefficient cap."""
+    for name, change, n, message in (
+            ("sigma_eta_zero", {}, 20_000, "singular information matrix"),
+            ("full_null_demo", {"gamma0": 60.0}, 5_000,
+             "every response is the same")):
+        doc = load_bundled(name).to_dict()
+        doc.update(n=n, **change)
+        scen = tmp_path / f"{name}.json"
+        scen.write_text(json.dumps(doc))
+        rc = main(["calibrate", str(scen), "--threads", "1",
+                   "--out", str(tmp_path / name)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "quasi-separation" in err and message in err
+        assert "replicates failed" not in err
 
 
 def test_calibrate_naive_needs_no_visit_fit(tmp_path, capsys):

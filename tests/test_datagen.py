@@ -19,6 +19,8 @@ from stratabias.datagen import (generate, generate_block, observe,
                                 write_table)
 from stratabias.params import ScenarioConfig, load_scenario
 from stratabias.rng import uniform_matrix
+from stratabias.strata import (S_BOTH, S_TREATED, bias_decomposition,
+                               stratum_sums)
 
 BASE = {
     "mu_x": 0.2, "sigma_x": 1.0,
@@ -101,9 +103,13 @@ def test_generate_fills_one_table_block_by_block(monkeypatch):
 def test_blocks_come_back_in_id_order_on_any_thread_count(monkeypatch):
     """More threads than cores and a 1 us switch interval: every block is
     made exactly once, the results keep id order, threads=1 starts no
-    pool and a pool never gets more workers than there are blocks."""
+    pool and a pool never gets more workers than there are blocks.  A
+    table's blocks are its row slices, views of its arrays, so its
+    stratum sums and selection-bias split keep every bit on any thread
+    count."""
     cfg = config(n=6000)
     whole = generate(cfg)
+    cols = ("ids", "x", "t", "z", "y", "a_seq")
     pools, made = [], []
     real_pool, real_block = dg.ThreadPoolExecutor, dg.generate_block
 
@@ -117,6 +123,10 @@ def test_blocks_come_back_in_id_order_on_any_thread_count(monkeypatch):
     monkeypatch.setattr(dg, "ThreadPoolExecutor", pool)
     monkeypatch.setattr(dg, "generate_block", block)
     monkeypatch.setattr(dg, "_CHUNK", 50)  # 120 blocks
+
+    def bits(threads):  # the table's selection-bias split, bit for bit
+        return [float(v).hex() for v in dataclasses.astuple(
+            bias_decomposition(whole, threads))]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -124,15 +134,26 @@ def test_blocks_come_back_in_id_order_on_any_thread_count(monkeypatch):
             made.clear()
             blocks = dg.generate_blocks(cfg, lambda b: b, threads)
             assert sorted(made) == list(range(0, cfg.n, 50))
-            for col in ("ids", "x", "t", "z", "y", "a_seq"):
-                assert np.array_equal(
-                    np.concatenate([getattr(b, col) for b in blocks]),
-                    getattr(whole, col))
+            made.clear()
+            slices = dg.generate_blocks(whole, lambda b: b, threads)
+            assert not made and [len(b) for b in slices] == [50] * 120
+            assert all(np.shares_memory(getattr(b, col), getattr(whole, col))
+                       for b in slices for col in cols)
+            for source in (blocks, slices):
+                for col in cols:
+                    assert np.array_equal(
+                        np.concatenate([getattr(b, col) for b in source]),
+                        getattr(whole, col))
+        labels = (S_BOTH, S_TREATED)
+        sums, report = stratum_sums(whole, labels), bits(1)
+        for threads in (2, 8):
+            assert stratum_sums(whole, labels, threads) == sums
+            assert bits(threads) == report
     finally:
         sys.setswitchinterval(switch)
     monkeypatch.setattr(dg, "_CHUNK", 2500)
     assert dg.generate_blocks(cfg, len, 64) == [2500, 2500, 1000]
-    assert pools == [7, 2]
+    assert pools == [7, 7, 1, 1, 7, 7, 2]
 
 
 def test_a_failed_block_stops_the_other_threads(monkeypatch):

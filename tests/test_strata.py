@@ -209,10 +209,8 @@ _MODERATE = st.one_of(st.just(0.0), st.just(-0.0),
 def test_cell_sums_of_squares_are_exact(values):
     """A cell's sum of d^2 (Veltkamp halves) is the exact rational one
     wherever the squares neither overflow nor underflow."""
-    d = np.array(values, dtype=float)
-    y = np.column_stack([np.zeros_like(d), d])
-    a = np.ones((len(d), 2), dtype=np.int8)
-    m, s1, s2 = strata._block_sums(a, y, [(1, 1)])[1, 1]
+    block = tiny_data([1] * len(values), [1] * len(values), values)
+    m, s1, s2 = strata._block_sums(block, [(1, 1)])[1, 1]
     assert m == len(values)
     assert Fraction(s1, strata._ONE) == sum(map(Fraction, values), Fraction(0))
     assert Fraction(s2, strata._ONE) == sum(
